@@ -28,6 +28,21 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== perfbench build + smoke"
+# The repository benchmark (perfbench/, its own cargo workspace) builds
+# against the public API of accel-sim, scenario and repro-bench: a break
+# there must fail CI here rather than the benchmark. The smoke run makes
+# one short run of each workload, untraced and traced; every run must
+# report zero failed operations.
+perfbench_out=$(python3 perfbench/run.py --smoke)
+echo "$perfbench_out" | grep '^{' | jq -s -e '
+  length > 0 and all(.[]; .failed == 0 and .correct)
+' >/dev/null || {
+  echo "perfbench smoke failed:" >&2
+  echo "$perfbench_out" >&2
+  exit 1
+}
+
 echo "== scenario golden round-trip (--dump-scenario)"
 # Every golden scenario file must load, re-serialize byte-identically,
 # and be accepted by its binary: the scenario spec's fixed-point check.

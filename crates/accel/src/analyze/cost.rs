@@ -67,7 +67,7 @@ fn check_finite(
     }
 }
 
-/// Scan every recorded charge (see module docs). `overlap` mirrors the
+/// Scan every recorded charge (see module docs). `overlap` is the
 /// workload's `overlap_transfers` flag and gates the `C004` check.
 pub(crate) fn raw_cost_pass(nodes: &[Vec<RankTrace>], overlap: bool) -> Vec<Diagnostic> {
     let mut out = Vec::new();

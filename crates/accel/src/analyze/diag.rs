@@ -235,7 +235,7 @@ impl Diagnostic {
     /// One machine-readable JSON object (no trailing newline), in the
     /// workspace's hand-rolled lossless style.
     pub fn to_json(&self) -> String {
-        use crate::whatif::esc;
+        use crate::json::esc;
         let mut out = format!(
             "{{\"code\":\"{}\",\"severity\":\"{}\"",
             self.code.as_str(),

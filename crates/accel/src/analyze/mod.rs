@@ -9,9 +9,9 @@
 //!    deadlock-free, or names the first mismatched collective and the
 //!    exact [`crate::engine::error::EngineError::Deadlock`] the engine
 //!    would return (`B001`–`B003`).
-//! 2. **Peak residency** (`residency`) — replicates the engine's
-//!    admission OOM check bit for bit and reports every overflowing
-//!    pool, plus a configurable headroom band (`M001`/`M002`).
+//! 2. **Peak residency** (`residency`) — runs the engine's own
+//!    admission OOM check and reports every overflowing pool, plus a
+//!    configurable headroom band (`M001`/`M002`).
 //! 3. **Cost sanity** (`cost`) — non-finite or negative charges,
 //!    zero-item kernel grids, stream-underflow reachability; subsumes
 //!    the engine's runtime charge validation (`C001`–`C004`).
@@ -42,7 +42,6 @@ mod residency;
 pub use diag::{Code, Diagnostic, Locus, Report, Severity};
 
 pub(crate) use barrier::predict_deadlock;
-pub(crate) use residency::predict_oom;
 
 use crate::calib::{NetCalib, NodeCalib};
 use crate::whatif::{RecordMeta, RecordedWorkload};

@@ -408,7 +408,7 @@ impl NetCalib {
 /// A dimensionless per-node cost proxy for what-if sweeps, normalised so
 /// the paper's machine (A100 + PCIe gen4 + Slingshot-10) prices at 1.0.
 ///
-/// The weights mirror how accelerator node pricing is dominated by the
+/// The weights follow how accelerator node pricing is dominated by the
 /// GPU: half the price tracks FP64 throughput, a quarter HBM bandwidth,
 /// with smaller shares for the host link and the NIC. It is deliberately
 /// coarse — the sweep optimizer only needs a *monotone* proxy to rank

@@ -12,7 +12,7 @@ use crate::calib::NodeCalib;
 use crate::profile::KernelProfile;
 use crate::trace::{RankTrace, Segment, SpanEvent, SpanKind, TransferDir};
 
-/// Device out-of-memory, mirroring the paper's JAX runs that "do not fit on
+/// Device out-of-memory, as in the paper's JAX runs that "do not fit on
 /// GPU memory when running with one and 64 processes".
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryError {

@@ -41,7 +41,7 @@ pub struct ClusterResult {
 }
 
 impl ClusterResult {
-    fn from_output(out: SimOutput, nodes: usize) -> Self {
+    pub(crate) fn from_output(out: SimOutput, nodes: usize) -> Self {
         ClusterResult {
             wall_seconds: out.wall_seconds(),
             rank_seconds: out.rank_seconds,

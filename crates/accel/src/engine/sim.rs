@@ -34,6 +34,14 @@
 //!   kernel models. Recorded charges are validated finite at compile and
 //!   derived costs at table time; a NaN duration is a typed
 //!   [`EngineError::NonFiniteCharge`], not a silently-bogus makespan.
+//!   The charges priced at record time are rescaled by [`Reprice`], the
+//!   workspace's one repricer: live runs, what-if replays and sweep
+//!   points all build their cost table through it.
+//! * **One admission check.** Before the first event, [`admit`] sums
+//!   the peak device bytes of the ranks sharing each GPU and rejects the
+//!   first overflowing pool as [`EngineError::Oom`]. The sweep's
+//!   pre-flight and the static analyzer's residency pass call the same
+//!   function, so their verdicts are the engine's by construction.
 //! * **Settle-on-change flows.** A flow's `remaining` is only brought up
 //!   to date (`remaining -= rate · Δt`) when its rate is about to change
 //!   or it completes. Rates change exactly when a *resource membership*
@@ -71,7 +79,7 @@ use std::collections::VecDeque;
 
 use rayon::prelude::*;
 
-use crate::calib::{DeviceCalib, NetCalib};
+use crate::calib::{DeviceCalib, NetCalib, NodeCalib};
 use crate::comm::allreduce_seconds;
 use crate::engine::error::EngineError;
 use crate::engine::event::{Completion, EventQueue, FlowId};
@@ -80,6 +88,7 @@ use crate::engine::resources::{Nic, PcieLink, SmPool};
 use crate::node::{GpuSample, NodeConfig, NodeOom, NodeTimeline, TimelineEvent, TimelineKind};
 use crate::profile::{device_seconds_raw, solo_utilization_raw};
 use crate::trace::{LabelId, LabelTable, RankTrace, Segment};
+use crate::whatif::RecordMeta;
 
 /// Completion tolerance on a flow's remaining demand (matches the
 /// pre-optimization engine's per-event check).
@@ -123,7 +132,7 @@ impl SimOutput {
 pub(crate) enum QSeg {
     /// Host work. `alloc` marks a recorded device-allocation charge,
     /// which reprices by the allocator-latency ratio instead of the CPU
-    /// throughput ratio (mirrors the whatif repricer).
+    /// throughput ratio ([`Reprice::alloc`]).
     Host {
         seconds: f64,
         alloc: bool,
@@ -195,13 +204,13 @@ pub(crate) struct CompiledWorkload {
 }
 
 /// How record-time-priced charges (host seconds, allocation latency,
-/// collective solo cost) are rescaled when a cost table is materialized.
-/// Mirrors [`crate::whatif::RecordedWorkload::reprice`] term for term so
-/// a sweep point and a standalone replay of the same calibration produce
-/// bit-identical cost tables.
+/// collective solo cost) are rescaled for a target calibration — the one
+/// repricer: cost tables, what-if replays and their per-label stats all
+/// apply it, so a sweep point and a standalone replay of the same
+/// calibration price every charge with the same expression.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Reprice {
-    /// Keep the compiled charges untouched (the live path, and bitwise
+    /// Keep the recorded charges untouched (the live path, and bitwise
     /// exact for it).
     Identity,
     /// Rescale for a what-if calibration.
@@ -217,6 +226,117 @@ pub(crate) enum Reprice {
         /// Ranks the analytic collective formula was priced for.
         total_ranks: u32,
     },
+}
+
+impl Reprice {
+    /// Re-express charges recorded under `meta`'s calibration under
+    /// `node`/`net`. Kernel and transfer segments carry pure work
+    /// descriptors that the cost table prices from the target device, so
+    /// only three charges rescale:
+    ///
+    /// * **host seconds** by the CPU throughput ratio (host work is
+    ///   modelled compute-bound on the host cores);
+    /// * **allocation latency** by the allocator-latency ratio;
+    /// * **collective solo cost** by the ratio of the analytic allreduce
+    ///   formula under the target vs recorded [`NetCalib`] (exact because
+    ///   the recorded cost is that formula times a scale factor).
+    ///
+    /// Kernel `dispatch` is a framework overhead, not a hardware cost, and
+    /// is kept. Under the recorded calibration itself this is
+    /// [`Reprice::Identity`]: every charge stays bit for bit as recorded.
+    pub(crate) fn new(meta: &RecordMeta, node: &NodeCalib, net: &NetCalib) -> Self {
+        if *node == meta.node_calib && *net == meta.net_calib {
+            return Reprice::Identity;
+        }
+        let old = &meta.node_calib;
+        Reprice::Scaled {
+            host_ratio: old.cpu.core_flops / node.cpu.core_flops,
+            alloc_ratio: if old.gpu.alloc_latency > 0.0 {
+                node.gpu.alloc_latency / old.gpu.alloc_latency
+            } else {
+                1.0
+            },
+            recorded_net: meta.net_calib,
+            net: *net,
+            total_ranks: meta.total_ranks,
+        }
+    }
+
+    /// A recorded host charge under the target calibration.
+    pub(crate) fn host(&self, seconds: f64) -> f64 {
+        match self {
+            Reprice::Identity => seconds,
+            Reprice::Scaled { host_ratio, .. } => seconds * host_ratio,
+        }
+    }
+
+    /// A recorded allocation latency under the target calibration.
+    pub(crate) fn alloc(&self, seconds: f64) -> f64 {
+        match self {
+            Reprice::Identity => seconds,
+            Reprice::Scaled { alloc_ratio, .. } => seconds * alloc_ratio,
+        }
+    }
+
+    /// A recorded collective solo cost moving `bytes` under the target
+    /// network.
+    pub(crate) fn collective(&self, seconds: f64, bytes: f64) -> f64 {
+        match self {
+            Reprice::Identity => seconds,
+            Reprice::Scaled {
+                recorded_net,
+                net,
+                total_ranks,
+                ..
+            } => {
+                let was = allreduce_seconds(recorded_net, *total_ranks, bytes);
+                let now = allreduce_seconds(net, *total_ranks, bytes);
+                let ratio = if was > 0.0 { now / was } else { 1.0 };
+                seconds * ratio
+            }
+        }
+    }
+}
+
+/// The engine's memory admission check, and its only copy. Local rank
+/// `r` of a node runs on GPU `r % gpus`; each GPU's pool must hold the
+/// summed peak device bytes of its residents. `pool` sees the demand of
+/// every occupied pool in global GPU order (node-major); the first pool
+/// whose demand exceeds `capacity` is the error.
+pub(crate) fn admit<N, R>(
+    nodes: N,
+    gpus: u32,
+    capacity: u64,
+    mut pool: impl FnMut(u32, u64),
+) -> Result<(), NodeOom>
+where
+    N: IntoIterator<Item = R>,
+    R: IntoIterator<Item = u64>,
+{
+    let gpus = gpus.max(1) as usize;
+    let mut first = None;
+    let mut demand: Vec<u64> = Vec::new();
+    for (n, peaks) in nodes.into_iter().enumerate() {
+        demand.clear();
+        for (r, peak) in peaks.into_iter().enumerate() {
+            match demand.get_mut(r % gpus) {
+                Some(d) => *d = d.saturating_add(peak),
+                None => demand.push(peak),
+            }
+        }
+        for (g, &demanded) in demand.iter().enumerate() {
+            let gpu = (n * gpus + g) as u32;
+            pool(gpu, demanded);
+            if demanded > capacity && first.is_none() {
+                first = Some(NodeOom {
+                    gpu,
+                    demanded,
+                    capacity,
+                });
+            }
+        }
+    }
+    first.map_or(Ok(()), Err)
 }
 
 impl CompiledWorkload {
@@ -377,6 +497,16 @@ impl CompiledWorkload {
         })
     }
 
+    /// [`admit`] over the compiled ranks' peak device bytes: the OOM the
+    /// replay would stop at, without running it.
+    pub(crate) fn admit(&self, gpus: u32, capacity: u64) -> Result<(), NodeOom> {
+        let peaks = self
+            .nodes
+            .iter()
+            .map(|n| n.ranks.iter().map(|r| r.peak_device_bytes));
+        admit(peaks, gpus, capacity, |_, _| {})
+    }
+
     /// Number of compiled arena entries (= cost-table length).
     pub(crate) fn segment_count(&self) -> usize {
         self.qsegs.len()
@@ -412,13 +542,10 @@ impl CompiledWorkload {
                     alloc,
                     label,
                 } => {
-                    let seconds = match reprice {
-                        Reprice::Identity => seconds,
-                        Reprice::Scaled {
-                            host_ratio,
-                            alloc_ratio,
-                            ..
-                        } => seconds * if alloc { *alloc_ratio } else { *host_ratio },
+                    let seconds = if alloc {
+                        reprice.alloc(seconds)
+                    } else {
+                        reprice.host(seconds)
                     };
                     CSeg::Host {
                         seconds: check(seconds, label)?,
@@ -453,20 +580,7 @@ impl CompiledWorkload {
                     label,
                     wait_label,
                 } => {
-                    let seconds = match reprice {
-                        Reprice::Identity => seconds,
-                        Reprice::Scaled {
-                            recorded_net,
-                            net,
-                            total_ranks,
-                            ..
-                        } => {
-                            let was = allreduce_seconds(recorded_net, *total_ranks, bytes);
-                            let now = allreduce_seconds(net, *total_ranks, bytes);
-                            let ratio = if was > 0.0 { now / was } else { 1.0 };
-                            seconds * ratio
-                        }
-                    };
+                    let seconds = reprice.collective(seconds, bytes);
                     CSeg::Collective {
                         seconds: check(seconds, label)?,
                         label,
@@ -686,26 +800,9 @@ pub(crate) fn simulate_compiled(
     debug_assert_eq!(costs.len(), compiled.segment_count());
     let gpus = cfg.gpus.max(1) as usize;
 
-    // Memory feasibility per physical GPU: peak footprints of co-located
-    // ranks must fit.
-    for (n, node) in compiled.nodes.iter().enumerate() {
-        for g in 0..gpus {
-            let demanded: u64 = node
-                .ranks
-                .iter()
-                .enumerate()
-                .filter(|(r, _)| r % gpus == g)
-                .map(|(_, cr)| cr.peak_device_bytes)
-                .sum();
-            if demanded > cfg.calib.gpu.mem_bytes {
-                return Err(EngineError::Oom(NodeOom {
-                    gpu: (n * gpus + g) as u32,
-                    demanded,
-                    capacity: cfg.calib.gpu.mem_bytes,
-                }));
-            }
-        }
-    }
+    compiled
+        .admit(cfg.gpus, cfg.calib.gpu.mem_bytes)
+        .map_err(EngineError::Oom)?;
 
     let mut shards: Vec<Shard<'_>> = Vec::with_capacity(compiled.nodes.len());
     let mut rank_base = 0usize;

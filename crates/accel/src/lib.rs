@@ -54,6 +54,7 @@ pub mod calib;
 pub mod comm;
 pub mod context;
 pub mod engine;
+pub mod json;
 pub mod node;
 pub mod profile;
 pub mod sweep;

@@ -31,9 +31,10 @@
 //!   byte-identical across `RAYON_NUM_THREADS` settings — the same
 //!   contract the engine's determinism suite locks.
 //!
-//! Repricing inside the cost table mirrors
-//! [`crate::whatif::RecordedWorkload::reprice`] term for term, so a grid
-//! point containing the identity calibration is **bit-identical** to
+//! A standalone [`crate::whatif::RecordedWorkload::replay`] is a one-point
+//! sweep: it prices through the same cost table and the same engine
+//! repricer, so a grid point containing the identity calibration is
+//! **bit-identical** to
 //! [`crate::whatif::RecordedWorkload::replay_identity`], and any preset
 //! point is bit-identical to a standalone `replay` of that preset — the
 //! differential oracle extended to the batched path.
@@ -56,11 +57,11 @@ use rayon::prelude::*;
 use crate::calib::{relative_node_price, NetCalib, NodeCalib};
 use crate::engine::sim::{simulate_compiled, CSeg, CompiledWorkload, Reprice};
 use crate::engine::{EngineError, SchedulePolicyKind};
+use crate::json::{self, esc, num, Fields};
 use crate::node::NodeConfig;
 use crate::trace::RankTrace;
 use crate::whatif::{
-    bool_field, esc, int_field, num, num_field, parse_err, preset, presets, str_field, RecordMeta,
-    RecordedWorkload, UnknownPreset, WhatifError,
+    parse_err, preset, presets, RecordMeta, RecordedWorkload, UnknownPreset, WhatifError,
 };
 
 /// One calibration axis value of a sweep grid: a resolved node + network
@@ -276,37 +277,39 @@ impl SweepPoint {
         out
     }
 
-    /// Parse a `point` line back (the checkpoint reader). Lossless: the
-    /// shortest-round-trip float encoding restores the exact bits, so a
-    /// parsed point re-serializes byte-identically. The `pareto` field is
-    /// ignored — front membership is recomputed when the sweep finishes.
+    /// Parse a `point` line back (the checkpoint reader); `ln` is its
+    /// line in the file. Lossless: the shortest-round-trip float encoding
+    /// restores the exact bits, so a parsed point re-serializes
+    /// byte-identically. Strict: an unknown or duplicated field is an
+    /// error. The `pareto` field is read but ignored — front membership
+    /// is recomputed when the sweep finishes.
     pub fn parse(line: &str, ln: usize) -> Result<Self, WhatifError> {
-        let calib = str_field(line, "calib")
-            .ok_or_else(|| parse_err(ln, "missing string field 'calib'"))?;
-        let gpus = int_field(line, "gpus", ln)?;
-        let schedule: SchedulePolicyKind = str_field(line, "schedule")
-            .ok_or_else(|| parse_err(ln, "missing string field 'schedule'"))?
+        let mut f = Fields::of(json::parse_line(line, ln)?, "point line", ln)?;
+        if f.str("type")? != "point" {
+            return Err(parse_err(ln, "not a sweep point line"));
+        }
+        let calib = f.str("calib")?;
+        let gpus = f.int("gpus")?;
+        let schedule: SchedulePolicyKind = f
+            .str("schedule")?
             .parse()
             .map_err(|e: String| parse_err(ln, e))?;
-        let lower_bound = num_field(line, "lower_bound", ln)?;
-        let pruned = bool_field(line, "pruned", ln)?;
-        let opt = |field: &str| -> Result<Option<f64>, WhatifError> {
-            if line.contains(&format!("\"{field}\":null")) {
-                Ok(None)
-            } else {
-                num_field(line, field, ln).map(Some)
-            }
-        };
-        Ok(SweepPoint {
+        let point = SweepPoint {
             calib,
             gpus,
             schedule,
-            lower_bound,
-            makespan: opt("makespan")?,
-            cost: opt("cost")?,
-            pruned,
-            error: str_field(line, "error"),
-        })
+            lower_bound: f.f64("lower_bound")?,
+            pruned: f.bool("pruned")?,
+            makespan: json::as_opt_f64(f.require("makespan")?, "makespan")?,
+            cost: json::as_opt_f64(f.require("cost")?, "cost")?,
+            error: f
+                .take("error")
+                .map(|v| json::as_str(v, "error"))
+                .transpose()?,
+        };
+        f.bool("pareto")?;
+        f.finish()?;
+        Ok(point)
     }
 }
 
@@ -415,32 +418,33 @@ impl SweepCheckpoint {
         let (_, header) = lines
             .next()
             .ok_or_else(|| parse_err(1, "empty checkpoint"))?;
-        if !header.contains("\"type\":\"sweep_checkpoint\"") {
+        let mut f = Fields::of(json::parse_line(header, 1)?, "checkpoint header", 1)?;
+        if f.str("type")? != "sweep_checkpoint" {
             return Err(parse_err(1, "not a sweep checkpoint (bad header line)"));
         }
-        let version: u64 = int_field(header, "version", 1)?;
+        let version: u64 = f.int("version")?;
         if version != 1 {
             return Err(parse_err(
                 1,
                 format!("unsupported checkpoint version {version} (this build reads version 1)"),
             ));
         }
-        let digest: u64 = int_field(header, "digest", 1)?;
-        let total: usize = int_field(header, "total", 1)?;
-        let completed: usize = int_field(header, "completed", 1)?;
+        let digest: u64 = f.int("digest")?;
+        let total: usize = f.int("total")?;
+        let completed: usize = f.int("completed")?;
+        f.finish()?;
         if completed > total {
             return Err(parse_err(
                 1,
                 format!("checkpoint cursor {completed} exceeds grid size {total}"),
             ));
         }
-        let mut points = Vec::with_capacity(completed);
-        for (i, line) in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            points.push(SweepPoint::parse(line, i + 1)?);
-        }
+        // Sized by the lines actually present, never by the header's
+        // claim: a forged `completed` must not drive an allocation.
+        let points = lines
+            .filter(|(_, line)| !line.trim().is_empty())
+            .map(|(i, line)| SweepPoint::parse(line, i + 1))
+            .collect::<Result<Vec<_>, _>>()?;
         if points.len() != completed {
             return Err(parse_err(
                 1,
@@ -555,30 +559,6 @@ impl From<EngineError> for SweepResumeError {
     }
 }
 
-/// Build the [`Reprice`] mirroring what
-/// [`crate::whatif::RecordedWorkload::reprice`] would do to the recorded
-/// charges for this calibration. The identity calibration maps to
-/// [`Reprice::Identity`] (bitwise no-op); for presets the ratios are the
-/// repricer's exact expressions, so the resulting cost table is
-/// bit-identical to compiling the repriced traces.
-fn reprice_for(meta: &RecordMeta, calib: &SweepCalib) -> Reprice {
-    if calib.name == "identity" {
-        return Reprice::Identity;
-    }
-    let old = &meta.node_calib;
-    Reprice::Scaled {
-        host_ratio: old.cpu.core_flops / calib.node.cpu.core_flops,
-        alloc_ratio: if old.gpu.alloc_latency > 0.0 {
-            calib.node.gpu.alloc_latency / old.gpu.alloc_latency
-        } else {
-            1.0
-        },
-        recorded_net: meta.net_calib,
-        net: calib.net,
-        total_ranks: meta.total_ranks,
-    }
-}
-
 /// Analytic makespan lower bound for one (calibration, gpus) pair,
 /// computed from the cost table without running the event loop.
 ///
@@ -661,8 +641,9 @@ pub fn sweep(workload: &RecordedWorkload, spec: &SweepSpec) -> Result<SweepResul
 }
 
 /// [`sweep`] with the static pre-flight gate enabled: before replaying a
-/// point, the analyzer's exact predictors (`analyze::predict_oom`,
-/// `analyze::predict_deadlock`) decide whether the engine would reject
+/// point, the engine's own admission check (run on the compiled arena)
+/// and the analyzer's exact deadlock predictor
+/// (`analyze::predict_deadlock`) decide whether the engine would reject
 /// it. Statically-rejected points skip the replay entirely and record
 /// the *same* error text the replay would have produced, so the
 /// serialized output is bit-identical to [`sweep`]'s — only wall-clock
@@ -685,11 +666,10 @@ fn sweep_impl(
     // Pre-flight: the deadlock verdict is a property of the workload
     // alone (it depends on neither calibration nor GPU count), so it is
     // decided once here; the OOM verdict depends on (calibration, gpus)
-    // and is re-derived per point inside the fan-out. Both predictors
-    // replicate the engine's own checks exactly, so the recorded error
+    // and is taken per point inside the fan-out from the engine's own
+    // admission check. Both verdicts are exact, so the recorded error
     // text matches what a replay would have produced.
     let pre = preflight.then(|| Preflight {
-        nodes: &workload.nodes,
         deadlock: crate::analyze::predict_deadlock(&workload.nodes).map(|e| e.to_string()),
         rejected: &rejected,
     });
@@ -805,7 +785,6 @@ pub fn sweep_resumable(
 /// The static pre-flight context threaded through [`GridCtx::eval`] by
 /// [`sweep_preflight`].
 struct Preflight<'a> {
-    nodes: &'a [Vec<RankTrace>],
     deadlock: Option<String>,
     rejected: &'a std::sync::atomic::AtomicUsize,
 }
@@ -831,7 +810,10 @@ impl<'a> GridCtx<'a> {
         let tables = spec
             .calibs
             .iter()
-            .map(|c| cs.compiled.cost_table(&c.node.gpu, &reprice_for(meta, c)))
+            .map(|c| {
+                cs.compiled
+                    .cost_table(&c.node.gpu, &Reprice::new(meta, &c.node, &c.net))
+            })
             .collect();
         GridCtx {
             spec,
@@ -887,9 +869,10 @@ impl<'a> GridCtx<'a> {
             // Same order as the engine: the OOM admission check runs
             // before the first event, a deadlock only after replaying
             // to quiescence.
-            let verdict = crate::analyze::predict_oom(pre.nodes, calib.node.gpu.mem_bytes, pt.gpus)
-                .map(|e| e.to_string())
-                .or_else(|| pre.deadlock.clone());
+            let verdict = match self.compiled.admit(pt.gpus, calib.node.gpu.mem_bytes) {
+                Err(oom) => Some(EngineError::Oom(oom).to_string()),
+                Ok(()) => pre.deadlock.clone(),
+            };
             if let Some(e) = verdict {
                 pt.error = Some(e);
                 pre.rejected
@@ -1363,6 +1346,17 @@ mod tests {
             "{\"type\":\"sweep_checkpoint\",\"version\":2,\"digest\":0,\"total\":0,\"completed\":0}\n"
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_forged_checkpoint_header_is_a_typed_error_not_an_allocation() {
+        let forged = concat!(
+            "{\"type\":\"sweep_checkpoint\",\"version\":1,\"digest\":0,",
+            "\"total\":1000000000000000,\"completed\":1000000000000000}\n"
+        );
+        let err = SweepCheckpoint::parse_jsonl(forged).unwrap_err();
+        assert!(matches!(err, WhatifError::Parse { line: 1, .. }), "{err:?}");
+        assert!(err.to_string().contains("but carries 0"), "{err}");
     }
 
     #[test]

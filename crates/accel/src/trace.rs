@@ -236,7 +236,7 @@ pub struct SpanEvent {
 pub struct RankTrace {
     /// Ordered segments.
     pub segments: Vec<Segment>,
-    /// Timed spans mirroring `segments` on the virtual clock, plus phase
+    /// Timed spans matching `segments` on the virtual clock, plus phase
     /// and memory events the segment list does not carry.
     pub events: Vec<SpanEvent>,
     /// Peak bytes simultaneously resident on the device.

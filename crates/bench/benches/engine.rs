@@ -17,6 +17,7 @@
 use std::time::{Duration, Instant};
 
 use accel_sim::engine::simulate_cluster;
+use accel_sim::json::{self, Fields, Value};
 use accel_sim::{KernelProfile, NodeConfig, RankTrace, Segment, TransferDir};
 use criterion::black_box;
 
@@ -135,20 +136,18 @@ fn results_json(mode: &str, results: &[Measurement]) -> String {
     )
 }
 
-/// Pull `events_per_sec` for a `(nodes, overlap=false)` row out of a
-/// previous run's JSON (hand-rolled like the whatif JSONL parser — the
-/// workspace builds without registry dependencies).
+/// `events_per_sec` of the `(nodes, overlap=false)` row of a previous
+/// run's JSON.
 fn baseline_events_per_sec(text: &str, nodes: usize) -> Option<f64> {
-    let key = format!("\"nodes\":{nodes},\"overlap\":false");
-    let row_start = text.find(&key)?;
-    let rest = &text[row_start..];
-    let field = "\"events_per_sec\":";
-    let v_start = rest.find(field)? + field.len();
-    let tail = &rest[v_start..];
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || ".+-eE".contains(c)))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
+    let mut doc = Fields::of(json::parse(text).ok()?, "bench results", 1).ok()?;
+    let (Value::Arr(rows), _) = doc.take("results")? else {
+        return None;
+    };
+    rows.into_iter().find_map(|row| {
+        let mut r = Fields::of(row, "result row", 1).ok()?;
+        let wanted = r.int::<usize>("nodes").ok()? == nodes && !r.bool("overlap").ok()?;
+        wanted.then(|| r.f64("events_per_sec").ok())?
+    })
 }
 
 fn main() {

@@ -188,7 +188,7 @@ fn main() {
     );
 
     // The naive path pays the full per-point cost: re-parse the recording,
-    // reprice the traces, rebuild the arena, replay.
+    // rebuild the arena and its cost table, replay.
     let naive = measure("naive", grid_points, budget, || {
         for calib in &spec.calibs {
             for &gpus in &spec.gpus {

@@ -7,9 +7,11 @@
 //! the contention-resolved node timeline under pid 1, and per-GPU
 //! occupancy as counter events under pid 2.
 //!
-//! The module also parses its own output ([`span_seconds_from_file`]) so
-//! tests can prove the export round-trips: summed per-label durations of
-//! the timed spans equal the simulator's per-label `LabelStats::seconds`.
+//! Labels are escaped with the workspace's JSON writer helper, and the
+//! module parses its own output back ([`span_seconds_from_file`], through
+//! the workspace's JSON reader) so tests can prove the export
+//! round-trips: summed per-label durations of the timed spans equal the
+//! simulator's per-label `LabelStats::seconds`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -17,6 +19,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use accel_sim::json::{self, esc, Fields, Value};
 use accel_sim::{NodeTimeline, RankTrace, TimelineKind};
 
 /// On-disk trace flavour.
@@ -37,12 +40,6 @@ impl TraceFormat {
             _ => TraceFormat::Chrome,
         }
     }
-}
-
-/// Minimal JSON string escape (labels are plain ASCII identifiers, but be
-/// safe about quotes and backslashes).
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn secs_to_us(s: f64) -> f64 {
@@ -173,74 +170,51 @@ pub fn write_trace(
     )
 }
 
-/// Pull a `"field":"value"` string out of one JSON line. Line-based on
-/// purpose: both exporters emit one event per line, which keeps the
-/// round-trip parser free of a JSON dependency.
-fn json_str_field(line: &str, field: &str) -> Option<String> {
-    let key = format!(r#""{field}":""#);
-    let start = line.find(&key)? + key.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Pull a `"field":number` out of one JSON line.
-fn json_num_field(line: &str, field: &str) -> Option<f64> {
-    let key = format!(r#""{field}":"#);
-    let start = line.find(&key)? + key.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 const TIMED_KINDS: [&str; 5] = ["host", "kernel", "transfer", "alloc", "collective"];
 
 /// Parse a written trace back into summed per-label seconds over the
 /// timed virtual-rank spans — the round-trip check against
-/// `Context::stats()`. Handles both formats.
+/// `Context::stats()`. Handles both formats; a line that is not valid
+/// JSON is an `InvalidData` error naming it.
 pub fn span_seconds_from_file(path: &Path) -> io::Result<BTreeMap<String, f64>> {
     let text = fs::read_to_string(path)?;
     let mut out: BTreeMap<String, f64> = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let (label, kind, dur_s) = if line.contains(r#""type":"span""#) {
-            // JSONL span record: start/dur in seconds.
-            let (Some(label), Some(kind), Some(dur)) = (
-                json_str_field(line, "label"),
-                json_str_field(line, "kind"),
-                json_num_field(line, "dur"),
-            ) else {
-                continue;
-            };
-            (label, kind, dur)
-        } else if line.contains(r#""pid":0"#) && line.contains(r#""ph":"X""#) {
-            // Chrome complete event on the virtual-rank track: µs.
-            let (Some(label), Some(kind), Some(dur)) = (
-                json_str_field(line, "name"),
-                json_str_field(line, "cat"),
-                json_num_field(line, "dur"),
-            ) else {
-                continue;
-            };
-            (label, kind, dur / 1e6)
-        } else {
+    for (i, raw) in text.lines().enumerate() {
+        // Chrome events are array elements: drop the separator, skip the
+        // brackets.
+        let line = raw.trim().trim_end_matches(',');
+        if !line.starts_with('{') {
             continue;
-        };
-        if TIMED_KINDS.contains(&kind.as_str()) {
-            *out.entry(label).or_insert(0.0) += dur_s;
+        }
+        let span = timed_span(line, i + 1).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("trace line {}: {e}", e.line()),
+            )
+        })?;
+        if let Some((label, seconds)) = span {
+            *out.entry(label).or_insert(0.0) += seconds;
         }
     }
     Ok(out)
+}
+
+/// One trace line's `(label, seconds)` when it is a timed virtual-rank
+/// span: a JSONL `span` record (seconds) or a Chrome complete event on
+/// pid 0 (µs).
+fn timed_span(line: &str, ln: usize) -> Result<Option<(String, f64)>, json::Error> {
+    let mut f = Fields::of(json::parse_line(line, ln)?, "trace event", ln)?;
+    let mut is = |key: &str, want: Value| f.take(key).is_some_and(|(v, _)| v == want);
+    let (label, kind, seconds) = if is("type", Value::Str("span".into())) {
+        (f.str("label")?, f.str("kind")?, f.f64("dur")?)
+    } else if is("pid", Value::Num("0".into())) && is("ph", Value::Str("X".into())) {
+        (f.str("name")?, f.str("cat")?, f.f64("dur")? / 1e6)
+    } else {
+        return Ok(None);
+    };
+    Ok(TIMED_KINDS
+        .contains(&kind.as_str())
+        .then_some((label, seconds)))
 }
 
 #[cfg(test)]
@@ -310,10 +284,16 @@ mod tests {
 
     #[test]
     fn escaped_labels_survive_the_round_trip() {
-        assert_eq!(
-            json_str_field(r#"{"label":"a\"b"}"#, "label").unwrap(),
-            "a\"b"
-        );
-        assert_eq!(json_num_field(r#"{"dur":2.5e-3}"#, "dur").unwrap(), 2.5e-3);
+        let mut ctx = Context::new(NodeCalib::default());
+        ctx.host_compute("a\"b\\c\nd", 2.5e-3);
+        let traces = vec![ctx.into_trace()];
+        for name in ["escaped.json", "escaped.jsonl"] {
+            let path = std::env::temp_dir().join(format!("repro_bench_{name}"));
+            write_trace(&path, &traces, None).unwrap();
+            let parsed = span_seconds_from_file(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let got = parsed["a\"b\\c\nd"];
+            assert!((got - 2.5e-3).abs() < 1e-15, "{name}: {got}");
+        }
     }
 }

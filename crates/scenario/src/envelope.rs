@@ -14,7 +14,7 @@
 //! schema it embeds, and parseable by any client without pulling in the
 //! service loop.
 
-use crate::json::{self, as_f64, as_str, Fields};
+use crate::json::{self, as_f64, as_str, Fields, Value};
 use crate::{Scenario, ScenarioError};
 
 /// One parsed request line.
@@ -57,13 +57,12 @@ impl JobRequest {
     /// JSON, a missing/unknown envelope field, or an invalid embedded
     /// scenario — each naming the offending field and line.
     pub fn parse(line: &str) -> Result<Self, ScenarioError> {
-        let root = json::parse(line)?;
-        let mut f = Fields::of(root, "request", 1)?;
-        let kind = as_str(f.require("type")?, "type")?;
+        let mut f = Fields::of(json::parse(line)?, "request", 1)?;
+        let kind = as_str(require(&mut f, "type")?, "type")?;
         let req = match kind.as_str() {
             "submit" => {
-                let id = as_str(f.require("id")?, "id")?;
-                let (sv, line) = f.require("scenario")?;
+                let id = as_str(require(&mut f, "id")?, "id")?;
+                let (sv, line) = require(&mut f, "scenario")?;
                 let scenario = Scenario::from_value(sv, line)?;
                 JobRequest::Submit {
                     id,
@@ -71,8 +70,8 @@ impl JobRequest {
                 }
             }
             "sweep" => JobRequest::Sweep {
-                id: as_str(f.require("id")?, "id")?,
-                recording: as_str(f.require("recording")?, "recording")?,
+                id: as_str(require(&mut f, "id")?, "id")?,
+                recording: as_str(require(&mut f, "recording")?, "recording")?,
                 grid: f.take("grid").map(|v| as_str(v, "grid")).transpose()?,
                 deadline: f
                     .take("deadline")
@@ -93,9 +92,23 @@ impl JobRequest {
                 })
             }
         };
-        f.finish()?;
+        f.finish().map_err(|e| match e {
+            json::Error::UnknownField { field, line } => {
+                ScenarioError::UnknownRequestField { field, line }
+            }
+            e => e.into(),
+        })?;
         Ok(req)
     }
+}
+
+/// A required envelope field; its absence names the request, not the
+/// scenario the request may carry.
+fn require(f: &mut Fields, field: &str) -> Result<(Value, usize), ScenarioError> {
+    f.take(field)
+        .ok_or_else(|| ScenarioError::MissingRequestField {
+            field: field.to_string(),
+        })
 }
 
 #[cfg(test)]
@@ -178,12 +191,28 @@ mod tests {
         // Unknown request type.
         let e = JobRequest::parse("{\"type\":\"frobnicate\"}").unwrap_err();
         assert!(e.to_string().contains("frobnicate"), "{e}");
-        // Unknown envelope field.
+        // Unknown envelope field: named as a request field.
         let e = JobRequest::parse("{\"type\":\"stats\",\"bogus\":1}").unwrap_err();
-        assert!(matches!(e, ScenarioError::UnknownField { ref field, .. } if field == "bogus"));
-        // Missing required field.
+        assert!(
+            matches!(e, ScenarioError::UnknownRequestField { ref field, .. } if field == "bogus")
+        );
+        assert_eq!(e.to_string(), "unknown request field 'bogus' at line 1");
+        // Missing required field, `type` included.
         let e = JobRequest::parse("{\"type\":\"sweep\",\"id\":\"x\"}").unwrap_err();
-        assert!(matches!(e, ScenarioError::MissingField { ref field } if field == "recording"));
+        assert!(
+            matches!(e, ScenarioError::MissingRequestField { ref field } if field == "recording")
+        );
+        let e = JobRequest::parse("{\"id\":\"x\"}").unwrap_err();
+        assert_eq!(e.to_string(), "missing required request field 'type'");
+        // The scenario a submit carries keeps the scenario wording.
+        let mut body = tiny().to_json_compact();
+        body.insert_str(1, "\"bogus\":1,");
+        let line = format!("{{\"type\":\"submit\",\"id\":\"j\",\"scenario\":{body}}}");
+        let e = JobRequest::parse(&line).unwrap_err();
+        assert!(
+            e.to_string().starts_with("unknown scenario field 'bogus'"),
+            "{e}"
+        );
         // An invalid embedded scenario surfaces the scenario's own error.
         let mut s = tiny();
         s.procs_per_node = 7;

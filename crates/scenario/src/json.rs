@@ -1,488 +1,5 @@
-//! A minimal JSON reader for scenario files.
-//!
-//! The workspace builds without registry dependencies, so — like the
-//! what-if recorder's JSONL and the trace exporter before it — the format
-//! is hand-rolled. Unlike those line-oriented formats, scenario files are
-//! nested, human-edited documents, so this module is a real (if small)
-//! recursive-descent parser: it tracks the line of every token, keeps
-//! number tokens verbatim (so `u64` seeds and `{:?}`-printed `f64`s both
-//! round-trip losslessly), and hands decoding errors enough context to
-//! name the offending line.
-//!
-//! Decoding goes through [`Fields`], which records which keys a caller
-//! consumed; [`Fields::finish`] turns every leftover key into a typed
-//! unknown-field error naming the field and its line — the scenario
-//! spec's forward-compatibility contract (an unknown knob is a hard
-//! error, never silently ignored).
+//! The workspace's JSON reader, re-exported: scenario files and `simd`
+//! request lines decode through [`accel_sim::json`], the same reader the
+//! what-if recordings, sweep checkpoints and trace round trips use.
 
-use crate::ScenarioError;
-
-/// A parsed JSON value. Numbers keep their raw token so integer and
-/// float interpretation is decided by the consumer, losslessly.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    /// The raw number token (e.g. `0.001`, `5000000000.0`, `53`).
-    Num(String),
-    Str(String),
-    Arr(Vec<Value>),
-    /// Key → (value, line of the key), in document order.
-    Obj(Vec<(String, Value, usize)>),
-}
-
-impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "boolean",
-            Value::Num(_) => "number",
-            Value::Str(_) => "string",
-            Value::Arr(_) => "array",
-            Value::Obj(_) => "object",
-        }
-    }
-}
-
-fn err(line: usize, msg: impl Into<String>) -> ScenarioError {
-    ScenarioError::Json {
-        line,
-        msg: msg.into(),
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-            line: 1,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'\n' => {
-                    self.line += 1;
-                    self.pos += 1;
-                }
-                b' ' | b'\t' | b'\r' => self.pos += 1,
-                _ => break,
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, ScenarioError> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| err(self.line, "unexpected end of input"))
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ScenarioError> {
-        let got = self.peek()?;
-        if got != b {
-            return Err(err(
-                self.line,
-                format!("expected '{}', found '{}'", b as char, got as char),
-            ));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Value, ScenarioError> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Value::Str(self.string()?)),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'n' => self.literal("null", Value::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(err(
-                self.line,
-                format!("unexpected character '{}'", other as char),
-            )),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, ScenarioError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(err(self.line, format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, ScenarioError> {
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        // Validate now so consumers can parse the token infallibly later.
-        raw.parse::<f64>()
-            .map_err(|_| err(self.line, format!("malformed number '{raw}'")))?;
-        Ok(Value::Num(raw.to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, ScenarioError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(err(self.line, "unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = self.bytes.get(self.pos) else {
-                        return Err(err(self.line, "unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        other => {
-                            return Err(err(
-                                self.line,
-                                format!("unsupported escape '\\{}'", other as char),
-                            ))
-                        }
-                    }
-                }
-                b'\n' => return Err(err(self.line, "unterminated string")),
-                _ => {
-                    // Re-attach multi-byte UTF-8 sequences whole.
-                    let ch_start = self.pos - 1;
-                    let width = utf8_width(b);
-                    self.pos = ch_start + width;
-                    let s = std::str::from_utf8(&self.bytes[ch_start..self.pos])
-                        .map_err(|_| err(self.line, "invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, ScenarioError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                other => {
-                    return Err(err(
-                        self.line,
-                        format!("expected ',' or ']', found '{}'", other as char),
-                    ))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, ScenarioError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key_line = self.line;
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            if fields.iter().any(|(k, _, _)| *k == key) {
-                return Err(err(key_line, format!("duplicate field '{key}'")));
-            }
-            fields.push((key, value, key_line));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                other => {
-                    return Err(err(
-                        self.line,
-                        format!("expected ',' or '}}', found '{}'", other as char),
-                    ))
-                }
-            }
-        }
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-/// Parse one JSON document; trailing garbage is an error.
-pub fn parse(text: &str) -> Result<Value, ScenarioError> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(err(p.line, "trailing characters after document"));
-    }
-    Ok(v)
-}
-
-/// An object being decoded: consumed keys are crossed off, and
-/// [`Fields::finish`] reports whatever is left as unknown fields.
-pub struct Fields {
-    entries: Vec<(String, Value, usize)>,
-    taken: Vec<bool>,
-    /// Line of the opening object, for missing-field context.
-    pub line: usize,
-}
-
-impl Fields {
-    /// Wrap a value that must be an object.
-    pub fn of(value: Value, what: &str, line: usize) -> Result<Self, ScenarioError> {
-        match value {
-            Value::Obj(entries) => {
-                let taken = vec![false; entries.len()];
-                Ok(Self {
-                    entries,
-                    taken,
-                    line,
-                })
-            }
-            other => Err(err(
-                line,
-                format!("{what} must be an object, found {}", other.type_name()),
-            )),
-        }
-    }
-
-    /// Consume a key, if present. Returns the value and the line it
-    /// appeared on.
-    pub fn take(&mut self, key: &str) -> Option<(Value, usize)> {
-        let i = self.entries.iter().position(|(k, _, _)| k == key)?;
-        self.taken[i] = true;
-        let (_, v, line) = &self.entries[i];
-        Some((v.clone(), *line))
-    }
-
-    /// Consume a key that must be present.
-    pub fn require(&mut self, key: &str) -> Result<(Value, usize), ScenarioError> {
-        self.take(key).ok_or_else(|| ScenarioError::MissingField {
-            field: key.to_string(),
-        })
-    }
-
-    /// Error on any key no caller consumed, naming the first offender and
-    /// the line it appears on.
-    pub fn finish(self) -> Result<(), ScenarioError> {
-        for (i, (key, _, line)) in self.entries.iter().enumerate() {
-            if !self.taken[i] {
-                return Err(ScenarioError::UnknownField {
-                    field: key.clone(),
-                    line: *line,
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Decode helpers: each names the field in its error.
-pub fn as_str((v, line): (Value, usize), field: &str) -> Result<String, ScenarioError> {
-    match v {
-        Value::Str(s) => Ok(s),
-        other => Err(err(
-            line,
-            format!(
-                "field '{field}' must be a string, found {}",
-                other.type_name()
-            ),
-        )),
-    }
-}
-
-pub fn as_bool((v, line): (Value, usize), field: &str) -> Result<bool, ScenarioError> {
-    match v {
-        Value::Bool(b) => Ok(b),
-        other => Err(err(
-            line,
-            format!(
-                "field '{field}' must be a boolean, found {}",
-                other.type_name()
-            ),
-        )),
-    }
-}
-
-pub fn as_f64((v, line): (Value, usize), field: &str) -> Result<f64, ScenarioError> {
-    match v {
-        Value::Num(raw) => raw
-            .parse()
-            .map_err(|_| err(line, format!("field '{field}' holds a malformed number"))),
-        other => Err(err(
-            line,
-            format!(
-                "field '{field}' must be a number, found {}",
-                other.type_name()
-            ),
-        )),
-    }
-}
-
-pub fn as_int<T: std::str::FromStr>(
-    (v, line): (Value, usize),
-    field: &str,
-) -> Result<T, ScenarioError> {
-    match v {
-        Value::Num(raw) => raw.parse().map_err(|_| {
-            err(
-                line,
-                format!("field '{field}' must be a non-negative integer, got '{raw}'"),
-            )
-        }),
-        other => Err(err(
-            line,
-            format!(
-                "field '{field}' must be a number, found {}",
-                other.type_name()
-            ),
-        )),
-    }
-}
-
-/// Escape a string for embedding in JSON output.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// `{:?}` on f64 is the shortest representation that parses back to the
-/// identical bits — the same convention as the what-if JSONL writer.
-pub fn num(v: f64) -> String {
-    format!("{v:?}")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_nested_documents_with_line_tracking() {
-        let text = "{\n  \"a\": 1,\n  \"b\": {\n    \"c\": [true, null, \"x\"]\n  }\n}";
-        let v = parse(text).unwrap();
-        let Value::Obj(fields) = v else {
-            panic!("object")
-        };
-        assert_eq!(fields[0].0, "a");
-        assert_eq!(fields[0].2, 2);
-        assert_eq!(fields[1].2, 3);
-        let Value::Obj(inner) = &fields[1].1 else {
-            panic!("inner object")
-        };
-        assert_eq!(inner[0].2, 4);
-    }
-
-    #[test]
-    fn numbers_keep_their_raw_tokens() {
-        let v = parse("{\"x\": 0.30000000000000004, \"y\": 18446744073709551615}").unwrap();
-        let Value::Obj(fields) = v else {
-            panic!("object")
-        };
-        assert_eq!(fields[0].1, Value::Num("0.30000000000000004".into()));
-        // u64::MAX survives verbatim (f64 would round it).
-        let Value::Num(raw) = &fields[1].1 else {
-            panic!("number")
-        };
-        assert_eq!(raw.parse::<u64>().unwrap(), u64::MAX);
-    }
-
-    #[test]
-    fn malformed_documents_name_their_line() {
-        for (text, line) in [
-            ("{\"a\": }", 1),
-            ("{\n\"a\": 1\n\"b\": 2}", 3),
-            ("{\"a\": 1} x", 1),
-            ("{\n  \"a\": tru\n}", 2),
-        ] {
-            match parse(text) {
-                Err(ScenarioError::Json { line: l, .. }) => assert_eq!(l, line, "{text}"),
-                other => panic!("{text}: expected Json error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn duplicate_keys_are_rejected() {
-        let e = parse("{\"a\": 1, \"a\": 2}").unwrap_err();
-        assert!(e.to_string().contains("duplicate field 'a'"), "{e}");
-    }
-
-    #[test]
-    fn string_escapes_round_trip() {
-        let v = parse("{\"s\": \"a\\\"b\\\\c\\nd\"}").unwrap();
-        let Value::Obj(fields) = v else {
-            panic!("object")
-        };
-        assert_eq!(fields[0].1, Value::Str("a\"b\\c\nd".into()));
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn unknown_fields_surface_with_line_numbers() {
-        let v = parse("{\n  \"known\": 1,\n  \"mystery\": 2\n}").unwrap();
-        let mut f = Fields::of(v, "test", 1).unwrap();
-        f.take("known").unwrap();
-        match f.finish() {
-            Err(ScenarioError::UnknownField { field, line }) => {
-                assert_eq!(field, "mystery");
-                assert_eq!(line, 3);
-            }
-            other => panic!("expected UnknownField, got {other:?}"),
-        }
-    }
-}
+pub use accel_sim::json::*;

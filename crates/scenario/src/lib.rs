@@ -61,6 +61,10 @@ pub enum ScenarioError {
     UnknownField { field: String, line: usize },
     /// A required field is absent.
     MissingField { field: String },
+    /// A `simd` request line lacks a required envelope field.
+    MissingRequestField { field: String },
+    /// A `simd` request line carries an envelope field no request defines.
+    UnknownRequestField { field: String, line: usize },
     /// A field is present but holds a value outside its domain.
     InvalidValue { field: String, msg: String },
     /// `procs_per_node` does not evenly partition the node's cores.
@@ -87,6 +91,12 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::MissingField { field } => {
                 write!(f, "missing required scenario field '{field}'")
             }
+            ScenarioError::MissingRequestField { field } => {
+                write!(f, "missing required request field '{field}'")
+            }
+            ScenarioError::UnknownRequestField { field, line } => {
+                write!(f, "unknown request field '{field}' at line {line}")
+            }
             ScenarioError::InvalidValue { field, msg } => {
                 write!(f, "invalid value for scenario field '{field}': {msg}")
             }
@@ -112,6 +122,18 @@ impl std::error::Error for ScenarioError {
 impl From<std::io::Error> for ScenarioError {
     fn from(e: std::io::Error) -> Self {
         ScenarioError::Io(e)
+    }
+}
+
+impl From<json::Error> for ScenarioError {
+    fn from(e: json::Error) -> Self {
+        match e {
+            json::Error::Syntax { line, msg, .. } => ScenarioError::Json { line, msg },
+            json::Error::MissingField { field, .. } => ScenarioError::MissingField { field },
+            json::Error::UnknownField { field, line } => {
+                ScenarioError::UnknownField { field, line }
+            }
+        }
     }
 }
 
@@ -959,6 +981,21 @@ mod tests {
             }
             other => panic!("expected UnknownField, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn unicode_escaped_names_parse_and_write_back_raw() {
+        let text = base().to_json();
+        let escaped = text.replacen(
+            &format!("\"name\": \"{}\"", base().name),
+            "\"name\": \"caf\\u00e9 \\ud83d\\ude00\"",
+            1,
+        );
+        assert_ne!(escaped, text);
+        let s = Scenario::parse(&escaped).unwrap();
+        assert_eq!(s.name, "café 😀");
+        assert!(s.to_json().contains("\"name\": \"café 😀\""));
+        assert_eq!(Scenario::parse(&s.to_json()).unwrap(), s);
     }
 
     #[test]

@@ -927,6 +927,22 @@ mod tests {
     }
 
     #[test]
+    fn a_unicode_escaped_scenario_is_admitted() {
+        let line = submit_line("u1", &clean_scenario("NAME"))
+            .replace("\"NAME\"", "\"caf\\u00e9 \\ud83d\\ude00\"");
+        assert!(line.contains("\\ud83d"), "{line}");
+        let mut s = svc(8);
+        let (_, lines) = run(&mut s, &(line + "\n"));
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.contains("\"id\":\"u1\",\"state\":\"admitted\"")),
+            "{lines:?}"
+        );
+        assert_eq!(s.stats().completed, 1);
+    }
+
+    #[test]
     fn scraped_ids_unescape_and_sanitize() {
         assert_eq!(scrape_id("{\"id\":\"a b\\\"c\""), Some("a b\"c".into()));
         assert_eq!(scrape_id("{\"type\":\"stats\"}"), None);
