@@ -78,6 +78,31 @@ echo "== fig5 cluster smoke (scenarios/fig5_4node.json)"
 cargo run --release -p repro-bench --bin fig5_full_benchmark -- \
   --scenario scenarios/fig5_4node.json >/dev/null
 
+echo "== trace determinism smoke (fig6 jax and omp traces, rendered twice)"
+# Two identical fig6 runs must write byte-identical traces in both
+# formats: neither the arrayjit executor nor the offload pool's free lists
+# may leak hash or allocation order into the span stream. fig6 sweeps the
+# implementation axis itself, so each run writes both the jax and the omp
+# trace.
+tdir="target/ci_trace_det"
+rm -rf "$tdir"
+mkdir -p "$tdir"
+for run in a b; do
+  for ext in jsonl json; do
+    cargo run --release -p repro-bench --bin fig6_per_kernel -- \
+      --scale 2e-4 --trace-out "$tdir/$run.$ext" >/dev/null
+  done
+done
+for impl in jax omp; do
+  for ext in jsonl json; do
+    cmp "$tdir/a-$impl.$ext" "$tdir/b-$impl.$ext" || {
+      echo "fig6 $impl .$ext trace differs between identical runs" >&2
+      exit 1
+    }
+  done
+done
+rm -rf "$tdir"
+
 echo "== engine-throughput bench (smoke mode)"
 # Validates the bench harness end to end and the shape of the JSON it
 # emits; the numbers themselves are not gated here (machine-dependent).

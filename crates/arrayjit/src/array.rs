@@ -194,6 +194,49 @@ impl Array {
         self.shape = shape;
         self
     }
+
+    /// Borrow as a program argument.
+    pub fn view(&self) -> ArrayView<'_> {
+        ArrayView {
+            shape: self.shape.clone(),
+            data: &self.data,
+        }
+    }
+
+    /// Borrow under a new shape of equal element count, without copying.
+    pub fn view_as(&self, shape: impl Into<Shape>) -> ArrayView<'_> {
+        let shape = shape.into();
+        assert_eq!(shape.elements(), self.elements(), "reshape size mismatch");
+        ArrayView {
+            shape,
+            data: &self.data,
+        }
+    }
+}
+
+/// A borrowed array, possibly under another shape of the same element
+/// count: how resident buffers are passed to a program without copying.
+#[derive(Debug, Clone)]
+pub struct ArrayView<'a> {
+    shape: Shape,
+    data: &'a Data,
+}
+
+impl ArrayView<'_> {
+    /// The (possibly reinterpreted) shape.
+    pub fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
+    /// The dtype.
+    pub fn dtype(&self) -> DType {
+        self.data.dtype()
+    }
+
+    /// The borrowed storage.
+    pub fn data(&self) -> &Data {
+        self.data
+    }
 }
 
 #[cfg(test)]
@@ -229,6 +272,15 @@ mod tests {
         let a = Array::from_f64(vec![1.0, 2.0, 3.0, 4.0]).reshaped(vec![2, 2]);
         assert_eq!(a.shape(), &Shape(vec![2, 2]));
         assert_eq!(a.as_f64(), &[1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn views_reshape_without_copying() {
+        let a = Array::from_f64(vec![1.0, 2.0, 3.0, 4.0]);
+        let v = a.view_as(vec![2, 2]);
+        assert_eq!(v.shape(), &Shape(vec![2, 2]));
+        assert!(std::ptr::eq(v.data(), a.data()));
+        assert_eq!(a.view().shape(), a.shape());
     }
 
     #[test]

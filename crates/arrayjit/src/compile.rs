@@ -17,12 +17,18 @@
 //! Because shapes are static, every stage's [`KernelProfile`] (work items,
 //! flops, bytes) is computed *at compile time* — the paper's footnote 3
 //! observation that HLO carries full tensor-size knowledge.
+//!
+//! The stage is also the unit of host execution: compilation ends by
+//! building the program's [`Plan`], which runs each fused stage as block
+//! loops over its output index (see [`crate::plan`]). Charged costs come
+//! from the stage profiles alone, so the plan changes no simulated time.
 
 use std::collections::{HashMap, HashSet};
 
 use accel_sim::KernelProfile;
 
 use crate::ir::{BinaryOp, Graph, Node, NodeId, Op};
+use crate::plan::Plan;
 
 /// How a stage executes on the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +55,7 @@ pub struct Stage {
     pub profile: KernelProfile,
 }
 
-/// A compiled program: optimised graph + kernel partition.
+/// A compiled program: optimised graph, kernel partition and host plan.
 #[derive(Debug, Clone)]
 pub struct Program {
     pub name: String,
@@ -58,6 +64,8 @@ pub struct Program {
     /// Largest (input + output) working set of any stage, in bytes — used
     /// for device-memory accounting of intermediates.
     pub peak_stage_bytes: u64,
+    /// How the stages run on the host.
+    pub plan: Plan,
 }
 
 impl Program {
@@ -81,11 +89,13 @@ pub fn compile(name: &str, graph: &Graph) -> Program {
         .map(|s| s.profile.total_bytes() as u64)
         .max()
         .unwrap_or(0);
+    let plan = Plan::new(&graph, &stages);
     Program {
         name: name.to_string(),
         graph,
         stages,
         peak_stage_bytes,
+        plan,
     }
 }
 

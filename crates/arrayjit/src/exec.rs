@@ -1,9 +1,13 @@
 //! Program execution: real numerics on the host, simulated cost on the
 //! selected backend.
 //!
-//! The evaluator interprets the optimised graph node by node over concrete
-//! [`Array`]s (so results are exact and testable), then charges the
-//! [`accel_sim::Context`] according to the backend:
+//! The host runs the program's [`Plan`], built once at compile time: each
+//! fused stage executes as block loops over its output index, with
+//! intermediates in block-sized scratch, only materialised values in
+//! full-size buffers, each buffer freed at its last use, and the arguments
+//! borrowed rather than copied. Gathers, scatter-adds and reductions run by
+//! their own routines. Results are exact and testable. Each call then
+//! charges the [`accel_sim::Context`] according to the backend:
 //!
 //! * [`Backend::Device`] — one launch per compiled stage, with the fused
 //!   profiles from [`crate::compile`]; intermediates come from the memory
@@ -15,10 +19,11 @@
 
 use accel_sim as accel;
 
-use crate::array::{Array, DType, Data};
+use crate::array::{Array, ArrayView, DType, Data};
 use crate::compile::Program;
-use crate::ir::{BinaryOp, Node, Op, UnaryOp};
-use crate::shape::{broadcast_index, Shape};
+use crate::ir::{BinaryOp, Graph, NodeId, Op, UnaryOp};
+use crate::plan::{Dst, Home, Inst, Kind, Loop, Plan, Src, Step, Walk, BLOCK};
+use crate::shape::Shape;
 
 /// Which backend a program call is charged to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +43,7 @@ pub fn run(
     ctx: &mut accel::Context,
     backend: Backend,
     program: &Program,
-    args: &[Array],
+    args: &[ArrayView],
 ) -> Vec<Array> {
     assert_eq!(
         args.len(),
@@ -111,425 +116,406 @@ fn charge(ctx: &mut accel::Context, backend: Backend, program: &Program) {
     }
 }
 
-/// Interpret the graph over concrete values.
-fn evaluate(program: &Program, args: &[Array]) -> Vec<Array> {
+/// Run the program's plan over concrete values.
+fn evaluate(program: &Program, args: &[ArrayView]) -> Vec<Array> {
     let graph = &program.graph;
-    let mut values: Vec<Option<Array>> = vec![None; graph.nodes.len()];
-
-    for (id, node) in graph.nodes.iter().enumerate() {
-        let v = eval_node(node, &values, args);
-        values[id] = Some(v);
+    let plan = &program.plan;
+    let mut frame = Frame {
+        plan,
+        args,
+        buffers: vec![None; graph.nodes.len()],
+    };
+    for (step, frees) in plan.steps.iter().zip(&plan.frees) {
+        match step {
+            Step::Loop(l) => run_loop(&mut frame, graph, l),
+            Step::Node(id) => {
+                let data = eval_node(graph, *id, &frame);
+                frame.buffers[*id] = Some(data);
+            }
+        }
+        for &r in frees {
+            frame.buffers[r] = None;
+        }
     }
 
-    graph
-        .outputs
-        .iter()
-        .map(|&o| values[o].clone().expect("output evaluated"))
-        .collect()
+    // Move each output out of its buffer at its last occurrence; earlier
+    // duplicates, arguments and constants are copied.
+    let mut outputs = Vec::with_capacity(graph.outputs.len());
+    for (k, &o) in graph.outputs.iter().enumerate() {
+        let r = plan.root[o];
+        let again = graph.outputs[k + 1..].iter().any(|&p| plan.root[p] == r);
+        let data = match (&plan.homes[r], again) {
+            (Home::Buffer, false) => frame.buffers[r].take().expect("output evaluated"),
+            _ => frame.data(r).clone(),
+        };
+        outputs.push(Array::new(graph.node(o).shape.clone(), data));
+    }
+    outputs
 }
 
-fn get(values: &[Option<Array>], id: usize) -> &Array {
-    values[id].as_ref().expect("operand evaluated before use")
+/// The values of one call: borrowed arguments, plan constants and the
+/// buffers alive so far.
+struct Frame<'a> {
+    plan: &'a Plan,
+    args: &'a [ArrayView<'a>],
+    buffers: Vec<Option<Data>>,
 }
 
-fn eval_node(node: &Node, values: &[Option<Array>], args: &[Array]) -> Array {
-    match &node.op {
-        Op::Param { index } => args[*index].clone().reshaped(node.shape.clone()),
-        Op::ConstF64(v) => Array::scalar_f64(*v),
-        Op::ConstI64(v) => Array::scalar_i64(*v),
-        Op::Iota { len } => Array::from_i64((0..*len as i64).collect()),
-        Op::Unary { op, a } => eval_unary(*op, get(values, *a), &node.shape),
-        Op::Binary { op, a, b } => eval_binary(
-            *op,
-            get(values, *a),
-            get(values, *b),
-            &node.shape,
-            node.dtype,
-        ),
-        Op::Select {
-            cond,
-            on_true,
-            on_false,
-        } => eval_select(
-            get(values, *cond),
-            get(values, *on_true),
-            get(values, *on_false),
-            &node.shape,
-        ),
-        Op::Convert { a, to } => eval_convert(get(values, *a), *to, &node.shape),
-        Op::Reshape { a } => get(values, *a).clone().reshaped(node.shape.clone()),
-        Op::BroadcastTo { a } => eval_broadcast(get(values, *a), &node.shape),
-        Op::SliceAxis {
-            a,
-            axis,
-            start,
-            len,
-        } => eval_slice(get(values, *a), *axis, *start, *len, &node.shape),
-        Op::Gather { src, idx } => eval_gather(get(values, *src), get(values, *idx), &node.shape),
-        Op::ScatterAdd { size, idx, val } => {
-            eval_scatter_add(*size, get(values, *idx), get(values, *val))
-        }
-        Op::ReduceSum { a, axis } => eval_reduce_sum(get(values, *a), *axis, &node.shape),
-        Op::StackLast { parts } => {
-            let arrays: Vec<&Array> = parts.iter().map(|&p| get(values, p)).collect();
-            eval_stack_last(&arrays, &node.shape)
+impl Frame<'_> {
+    fn data(&self, root: NodeId) -> &Data {
+        match &self.plan.homes[root] {
+            Home::Arg(i) => self.args[*i].data(),
+            Home::Const(d) => d,
+            Home::Buffer => self.buffers[root]
+                .as_ref()
+                .expect("value read after its last use"),
+            Home::Block => unreachable!("block value {root} read as a buffer"),
         }
     }
 }
 
-fn eval_stack_last(parts: &[&Array], shape: &Shape) -> Array {
-    let k = parts.len();
-    let n = parts[0].elements();
-    match parts[0].data() {
-        Data::F64(_) => {
-            let mut out = vec![0.0f64; n * k];
-            for (j, p) in parts.iter().enumerate() {
-                for (i, &v) in p.as_f64().iter().enumerate() {
-                    out[i * k + j] = v;
+fn zeros(dtype: DType, len: usize) -> Data {
+    match dtype {
+        DType::F64 => Data::F64(vec![0.0; len]),
+        DType::I64 => Data::I64(vec![0; len]),
+        DType::Bool => Data::Bool(vec![false; len]),
+    }
+}
+
+/// Run one fused loop: every instruction on one block, block by block.
+fn run_loop(frame: &mut Frame, graph: &Graph, l: &Loop) {
+    for &r in &l.buffers {
+        frame.buffers[r] = Some(zeros(graph.node(r).dtype, l.len));
+    }
+    let block = BLOCK.min(l.len);
+    let mut slots: Vec<Option<Data>> = l.slots.iter().map(|&t| Some(zeros(t, block))).collect();
+    for b0 in (0..l.len).step_by(BLOCK) {
+        let n = BLOCK.min(l.len - b0);
+        for inst in &l.insts {
+            // Take the destination out so the operands can be borrowed.
+            let (mut out, range) = match inst.dst {
+                Dst::Slot(s) => (slots[s].take(), 0..n),
+                Dst::Buffer(r) => (frame.buffers[r].take(), b0..b0 + n),
+            };
+            let out_data = out.as_mut().expect("destination allocated");
+            let ops = Operands {
+                frame,
+                slots: &slots,
+                b0,
+                n,
+            };
+            ops.exec(inst, out_data, range);
+            match inst.dst {
+                Dst::Slot(s) => slots[s] = out,
+                Dst::Buffer(r) => frame.buffers[r] = out,
+            }
+        }
+    }
+}
+
+/// The block `[b0, b0 + n)` of a loop, as seen by its instructions.
+struct Operands<'a> {
+    frame: &'a Frame<'a>,
+    slots: &'a [Option<Data>],
+    b0: usize,
+    n: usize,
+}
+
+/// A block operand: a run of values, or one value for every lane.
+#[derive(Clone, Copy)]
+enum Val<'a, T> {
+    Run(&'a [T]),
+    Splat(T),
+}
+
+impl<T: Copy> Val<'_, T> {
+    #[inline(always)]
+    fn at(&self, i: usize) -> T {
+        match self {
+            Val::Run(v) => v[i],
+            Val::Splat(x) => *x,
+        }
+    }
+}
+
+/// Element types with a typed view of [`Data`].
+trait Elem: Copy {
+    fn of(data: &Data) -> &[Self];
+}
+
+macro_rules! elem {
+    ($t:ty, $variant:ident) => {
+        impl Elem for $t {
+            fn of(data: &Data) -> &[Self] {
+                match data {
+                    Data::$variant(v) => v,
+                    other => panic!("expected {:?}, found {:?}", DType::$variant, other.dtype()),
                 }
             }
-            Array::new(shape.clone(), Data::F64(out))
-        }
-        Data::I64(_) => {
-            let mut out = vec![0i64; n * k];
-            for (j, p) in parts.iter().enumerate() {
-                for (i, &v) in p.as_i64().iter().enumerate() {
-                    out[i * k + j] = v;
-                }
-            }
-            Array::new(shape.clone(), Data::I64(out))
-        }
-        Data::Bool(_) => {
-            let mut out = vec![false; n * k];
-            for (j, p) in parts.iter().enumerate() {
-                for (i, &v) in p.as_bool().iter().enumerate() {
-                    out[i * k + j] = v;
-                }
-            }
-            Array::new(shape.clone(), Data::Bool(out))
-        }
-    }
-}
-
-fn eval_unary(op: UnaryOp, a: &Array, shape: &Shape) -> Array {
-    if op == UnaryOp::Not {
-        let out: Vec<bool> = a.as_bool().iter().map(|&x| !x).collect();
-        return Array::new(shape.clone(), Data::Bool(out));
-    }
-    let f = |x: f64| -> f64 {
-        match op {
-            UnaryOp::Neg => -x,
-            UnaryOp::Abs => x.abs(),
-            UnaryOp::Exp => x.exp(),
-            UnaryOp::Log => x.ln(),
-            UnaryOp::Sqrt => x.sqrt(),
-            UnaryOp::Sin => x.sin(),
-            UnaryOp::Cos => x.cos(),
-            UnaryOp::Floor => x.floor(),
-            UnaryOp::Not => unreachable!(),
         }
     };
-    let out: Vec<f64> = a.as_f64().iter().map(|&x| f(x)).collect();
-    Array::new(shape.clone(), Data::F64(out))
 }
 
-/// Fast index maps for the common operand layouts: same shape as the
-/// output (identity), scalar, a single contiguous broadcast block
-/// (`(i / div) % modulo` — covers row vectors, column vectors and
-/// middle-axis masks), or the general rank-walking fallback.
-enum IndexMap<'a> {
-    Identity,
-    Scalar,
-    Strided { div: usize, modulo: usize },
-    Broadcast(&'a Shape, &'a Shape),
-}
+elem!(f64, F64);
+elem!(i64, I64);
+elem!(bool, Bool);
 
-impl IndexMap<'_> {
-    #[inline(always)]
-    fn get(&self, i: usize) -> usize {
-        match self {
-            IndexMap::Identity => i,
-            IndexMap::Scalar => 0,
-            IndexMap::Strided { div, modulo } => (i / div) % modulo,
-            IndexMap::Broadcast(out, src) => broadcast_index(i, out, src),
-        }
-    }
-}
-
-fn index_map<'a>(out: &'a Shape, src: &'a Shape) -> IndexMap<'a> {
-    if src == out {
-        return IndexMap::Identity;
-    }
-    if src.elements() == 1 {
-        return IndexMap::Scalar;
-    }
-    // Pad the source shape with leading 1s; if its non-1 axes form one
-    // contiguous block whose dims match the output, the mapping is
-    // `(i / product_of_axes_after_block) % block_elements`.
-    let rank = out.rank();
-    let pad = rank - src.rank();
-    let dim = |j: usize| if j < pad { 1 } else { src.0[j - pad] };
-    let first = (0..rank).find(|&j| dim(j) != 1);
-    let last = (0..rank).rev().find(|&j| dim(j) != 1);
-    if let (Some(first), Some(last)) = (first, last) {
-        // Every axis inside the block must exactly match the output (a 1
-        // inside the block would need the general walker).
-        let exact = (first..=last).all(|j| dim(j) == out.0[j]);
-        if exact {
-            let div: usize = (last + 1..rank).map(|j| out.0[j]).product();
-            let modulo: usize = (first..=last).map(|j| out.0[j]).product();
-            return IndexMap::Strided { div, modulo };
-        }
-    }
-    IndexMap::Broadcast(out, src)
-}
-
-fn eval_binary(op: BinaryOp, a: &Array, b: &Array, shape: &Shape, dtype: DType) -> Array {
-    let n = shape.elements();
-    let a_map = index_map(shape, a.shape());
-    let b_map = index_map(shape, b.shape());
-    let ai = |i: usize| a_map.get(i);
-    let bi = |i: usize| b_map.get(i);
-
-    if op.is_comparison() {
-        let out: Vec<bool> = match (a.data(), b.data()) {
-            (Data::F64(av), Data::F64(bv)) => {
-                (0..n).map(|i| cmp_f64(op, av[ai(i)], bv[bi(i)])).collect()
+#[inline(always)]
+fn map1<A: Copy, R: Copy>(out: &mut [R], a: Val<A>, f: impl Fn(A) -> R) {
+    match a {
+        Val::Run(a) => {
+            for (o, &x) in out.iter_mut().zip(a) {
+                *o = f(x);
             }
-            (Data::I64(av), Data::I64(bv)) => {
-                (0..n).map(|i| cmp_i64(op, av[ai(i)], bv[bi(i)])).collect()
-            }
-            _ => panic!("comparison on unsupported dtype pair"),
-        };
-        return Array::new(shape.clone(), Data::Bool(out));
-    }
-    if matches!(op, BinaryOp::And | BinaryOp::Or) {
-        let (av, bv) = (a.as_bool(), b.as_bool());
-        let out: Vec<bool> = (0..n)
-            .map(|i| match op {
-                BinaryOp::And => av[ai(i)] && bv[bi(i)],
-                BinaryOp::Or => av[ai(i)] || bv[bi(i)],
-                _ => unreachable!(),
-            })
-            .collect();
-        return Array::new(shape.clone(), Data::Bool(out));
-    }
-
-    match dtype {
-        DType::F64 => {
-            let (av, bv) = (a.as_f64(), b.as_f64());
-            // Specialised loops for the hot layouts: the generic per-element
-            // enum dispatch costs ~10x on the interpreter's critical path.
-            let out: Vec<f64> = match (&a_map, &b_map) {
-                (IndexMap::Identity, IndexMap::Identity) => match op {
-                    BinaryOp::Add => av.iter().zip(bv).map(|(x, y)| x + y).collect(),
-                    BinaryOp::Sub => av.iter().zip(bv).map(|(x, y)| x - y).collect(),
-                    BinaryOp::Mul => av.iter().zip(bv).map(|(x, y)| x * y).collect(),
-                    BinaryOp::Div => av.iter().zip(bv).map(|(x, y)| x / y).collect(),
-                    BinaryOp::Atan2 => av.iter().zip(bv).map(|(x, y)| x.atan2(*y)).collect(),
-                    _ => (0..n).map(|i| arith_f64(op, av[i], bv[i])).collect(),
-                },
-                (IndexMap::Identity, IndexMap::Scalar) => {
-                    let y = bv[0];
-                    match op {
-                        BinaryOp::Add => av.iter().map(|x| x + y).collect(),
-                        BinaryOp::Sub => av.iter().map(|x| x - y).collect(),
-                        BinaryOp::Mul => av.iter().map(|x| x * y).collect(),
-                        BinaryOp::Div => av.iter().map(|x| x / y).collect(),
-                        _ => av.iter().map(|&x| arith_f64(op, x, y)).collect(),
-                    }
-                }
-                (IndexMap::Scalar, IndexMap::Identity) => {
-                    let x = av[0];
-                    match op {
-                        BinaryOp::Add => bv.iter().map(|y| x + y).collect(),
-                        BinaryOp::Sub => bv.iter().map(|y| x - y).collect(),
-                        BinaryOp::Mul => bv.iter().map(|y| x * y).collect(),
-                        BinaryOp::Div => bv.iter().map(|y| x / y).collect(),
-                        _ => bv.iter().map(|&y| arith_f64(op, x, y)).collect(),
-                    }
-                }
-                _ => (0..n)
-                    .map(|i| arith_f64(op, av[ai(i)], bv[bi(i)]))
-                    .collect(),
-            };
-            Array::new(shape.clone(), Data::F64(out))
         }
-        DType::I64 => {
-            let (av, bv) = (a.as_i64(), b.as_i64());
-            let out: Vec<i64> = (0..n)
-                .map(|i| arith_i64(op, av[ai(i)], bv[bi(i)]))
-                .collect();
-            Array::new(shape.clone(), Data::I64(out))
-        }
-        DType::Bool => panic!("arithmetic on Bool"),
+        Val::Splat(x) => out.fill(f(x)),
     }
 }
 
-fn arith_f64(op: BinaryOp, x: f64, y: f64) -> f64 {
+#[inline(always)]
+fn map2<A: Copy, B: Copy, R: Copy>(out: &mut [R], a: Val<A>, b: Val<B>, f: impl Fn(A, B) -> R) {
+    match (a, b) {
+        (Val::Run(a), Val::Run(b)) => {
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *o = f(x, y);
+            }
+        }
+        (Val::Run(a), Val::Splat(y)) => {
+            for (o, &x) in out.iter_mut().zip(a) {
+                *o = f(x, y);
+            }
+        }
+        (Val::Splat(x), Val::Run(b)) => {
+            for (o, &y) in out.iter_mut().zip(b) {
+                *o = f(x, y);
+            }
+        }
+        (Val::Splat(x), Val::Splat(y)) => out.fill(f(x, y)),
+    }
+}
+
+fn select<T: Copy>(out: &mut [T], cond: Val<bool>, t: Val<T>, f: Val<T>) {
+    if let (Val::Run(c), Val::Run(t), Val::Run(f)) = (cond, t, f) {
+        for (((o, &c), &x), &y) in out.iter_mut().zip(c).zip(t).zip(f) {
+            *o = if c { x } else { y };
+        }
+    } else {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = if cond.at(i) { t.at(i) } else { f.at(i) };
+        }
+    }
+}
+
+fn compare<T: Copy + PartialOrd>(op: BinaryOp, out: &mut [bool], a: Val<T>, b: Val<T>) {
     match op {
-        BinaryOp::Add => x + y,
-        BinaryOp::Sub => x - y,
-        BinaryOp::Mul => x * y,
-        BinaryOp::Div => x / y,
-        BinaryOp::Rem => x.rem_euclid(y),
-        BinaryOp::Min => x.min(y),
-        BinaryOp::Max => x.max(y),
-        BinaryOp::Atan2 => x.atan2(y),
-        BinaryOp::Pow => x.powf(y),
+        BinaryOp::Lt => map2(out, a, b, |x, y| x < y),
+        BinaryOp::Le => map2(out, a, b, |x, y| x <= y),
+        BinaryOp::Gt => map2(out, a, b, |x, y| x > y),
+        BinaryOp::Ge => map2(out, a, b, |x, y| x >= y),
+        BinaryOp::Eq => map2(out, a, b, |x, y| x == y),
         _ => unreachable!(),
     }
 }
 
-fn arith_i64(op: BinaryOp, x: i64, y: i64) -> i64 {
+fn arith_f64(op: BinaryOp, out: &mut [f64], a: Val<f64>, b: Val<f64>) {
     match op {
-        BinaryOp::Add => x.wrapping_add(y),
-        BinaryOp::Sub => x.wrapping_sub(y),
-        BinaryOp::Mul => x.wrapping_mul(y),
-        BinaryOp::Div => x.div_euclid(y),
-        BinaryOp::Rem => x.rem_euclid(y),
-        BinaryOp::Min => x.min(y),
-        BinaryOp::Max => x.max(y),
-        BinaryOp::Pow => x.pow(y as u32),
+        BinaryOp::Add => map2(out, a, b, |x, y| x + y),
+        BinaryOp::Sub => map2(out, a, b, |x, y| x - y),
+        BinaryOp::Mul => map2(out, a, b, |x, y| x * y),
+        BinaryOp::Div => map2(out, a, b, |x, y| x / y),
+        BinaryOp::Rem => map2(out, a, b, f64::rem_euclid),
+        BinaryOp::Min => map2(out, a, b, f64::min),
+        BinaryOp::Max => map2(out, a, b, f64::max),
+        BinaryOp::Atan2 => map2(out, a, b, f64::atan2),
+        BinaryOp::Pow => map2(out, a, b, f64::powf),
+        _ => unreachable!(),
+    }
+}
+
+fn arith_i64(op: BinaryOp, out: &mut [i64], a: Val<i64>, b: Val<i64>) {
+    match op {
+        BinaryOp::Add => map2(out, a, b, i64::wrapping_add),
+        BinaryOp::Sub => map2(out, a, b, i64::wrapping_sub),
+        BinaryOp::Mul => map2(out, a, b, i64::wrapping_mul),
+        BinaryOp::Div => map2(out, a, b, i64::div_euclid),
+        BinaryOp::Rem => map2(out, a, b, i64::rem_euclid),
+        BinaryOp::Min => map2(out, a, b, |x: i64, y| x.min(y)),
+        BinaryOp::Max => map2(out, a, b, |x: i64, y| x.max(y)),
+        BinaryOp::Pow => map2(out, a, b, |x: i64, y| x.pow(y as u32)),
         BinaryOp::Atan2 => panic!("atan2 on I64"),
         _ => unreachable!(),
     }
 }
 
-fn cmp_f64(op: BinaryOp, x: f64, y: f64) -> bool {
+fn unary_f64(op: UnaryOp, out: &mut [f64], a: Val<f64>) {
     match op {
-        BinaryOp::Lt => x < y,
-        BinaryOp::Le => x <= y,
-        BinaryOp::Gt => x > y,
-        BinaryOp::Ge => x >= y,
-        BinaryOp::Eq => x == y,
-        _ => unreachable!(),
+        UnaryOp::Neg => map1(out, a, |x| -x),
+        UnaryOp::Abs => map1(out, a, f64::abs),
+        UnaryOp::Exp => map1(out, a, f64::exp),
+        UnaryOp::Log => map1(out, a, f64::ln),
+        UnaryOp::Sqrt => map1(out, a, f64::sqrt),
+        UnaryOp::Sin => map1(out, a, f64::sin),
+        UnaryOp::Cos => map1(out, a, f64::cos),
+        UnaryOp::Floor => map1(out, a, f64::floor),
+        UnaryOp::Not => unreachable!(),
     }
 }
 
-fn cmp_i64(op: BinaryOp, x: i64, y: i64) -> bool {
-    match op {
-        BinaryOp::Lt => x < y,
-        BinaryOp::Le => x <= y,
-        BinaryOp::Gt => x > y,
-        BinaryOp::Ge => x >= y,
-        BinaryOp::Eq => x == y,
-        _ => unreachable!(),
-    }
-}
-
-fn eval_select(cond: &Array, t: &Array, f: &Array, shape: &Shape) -> Array {
-    let n = shape.elements();
-    let cv = cond.as_bool();
-    let c_map = index_map(shape, cond.shape());
-    let t_map = index_map(shape, t.shape());
-    let f_map = index_map(shape, f.shape());
-    let ci = |i: usize| c_map.get(i);
-    let ti = |i: usize| t_map.get(i);
-    let fi = |i: usize| f_map.get(i);
-    match (t.data(), f.data()) {
-        (Data::F64(tv), Data::F64(fv)) => {
-            // Fast path: everything already output-shaped.
-            let out: Vec<f64> = if matches!(
-                (&c_map, &t_map, &f_map),
-                (IndexMap::Identity, IndexMap::Identity, IndexMap::Identity)
-            ) {
-                (0..n).map(|i| if cv[i] { tv[i] } else { fv[i] }).collect()
-            } else {
-                (0..n)
-                    .map(|i| if cv[ci(i)] { tv[ti(i)] } else { fv[fi(i)] })
-                    .collect()
-            };
-            Array::new(shape.clone(), Data::F64(out))
+/// Fill `out` with `src` read through `walk` from flat index `b0`: one
+/// division per run of the innermost axis, none per element.
+fn load<T: Copy>(src: &[T], walk: &Walk, b0: usize, out: &mut [T]) {
+    let rank = walk.dims.len();
+    let (inner, step) = (walk.dims[rank - 1], walk.strides[rank - 1]);
+    let mut pos = b0;
+    let mut done = 0;
+    while done < out.len() {
+        let mut rest = pos / inner;
+        let lane = pos % inner;
+        let mut base = walk.offset + lane * step;
+        for axis in (0..rank - 1).rev() {
+            base += (rest % walk.dims[axis]) * walk.strides[axis];
+            rest /= walk.dims[axis];
         }
-        (Data::I64(tv), Data::I64(fv)) => {
-            let out: Vec<i64> = (0..n)
-                .map(|i| if cv[ci(i)] { tv[ti(i)] } else { fv[fi(i)] })
-                .collect();
-            Array::new(shape.clone(), Data::I64(out))
-        }
-        (Data::Bool(tv), Data::Bool(fv)) => {
-            let out: Vec<bool> = (0..n)
-                .map(|i| if cv[ci(i)] { tv[ti(i)] } else { fv[fi(i)] })
-                .collect();
-            Array::new(shape.clone(), Data::Bool(out))
-        }
-        _ => panic!("select branch dtype mismatch"),
-    }
-}
-
-fn eval_convert(a: &Array, to: DType, shape: &Shape) -> Array {
-    let data = match (a.data(), to) {
-        (Data::F64(v), DType::I64) => Data::I64(v.iter().map(|&x| x as i64).collect()),
-        (Data::I64(v), DType::F64) => Data::F64(v.iter().map(|&x| x as f64).collect()),
-        (Data::Bool(v), DType::F64) => {
-            Data::F64(v.iter().map(|&x| if x { 1.0 } else { 0.0 }).collect())
-        }
-        (Data::Bool(v), DType::I64) => Data::I64(v.iter().map(|&x| x as i64).collect()),
-        (d, t) if d.dtype() == t => d.clone(),
-        (d, t) => panic!("unsupported convert {:?} -> {t:?}", d.dtype()),
-    };
-    Array::new(shape.clone(), data)
-}
-
-fn eval_broadcast(a: &Array, shape: &Shape) -> Array {
-    let n = shape.elements();
-    match a.data() {
-        Data::F64(v) => {
-            let out: Vec<f64> = (0..n)
-                .map(|i| v[broadcast_index(i, shape, a.shape())])
-                .collect();
-            Array::new(shape.clone(), Data::F64(out))
-        }
-        Data::I64(v) => {
-            let out: Vec<i64> = (0..n)
-                .map(|i| v[broadcast_index(i, shape, a.shape())])
-                .collect();
-            Array::new(shape.clone(), Data::I64(out))
-        }
-        Data::Bool(v) => {
-            let out: Vec<bool> = (0..n)
-                .map(|i| v[broadcast_index(i, shape, a.shape())])
-                .collect();
-            Array::new(shape.clone(), Data::Bool(out))
-        }
-    }
-}
-
-fn eval_slice(a: &Array, axis: usize, start: usize, len: usize, shape: &Shape) -> Array {
-    let in_shape = a.shape();
-    let outer: usize = in_shape.0[..axis].iter().product();
-    let inner: usize = in_shape.0[axis + 1..].iter().product();
-    let dim = in_shape.0[axis];
-
-    fn slice_vec<T: Copy>(
-        v: &[T],
-        outer: usize,
-        dim: usize,
-        inner: usize,
-        start: usize,
-        len: usize,
-    ) -> Vec<T> {
-        let mut out = Vec::with_capacity(outer * len * inner);
-        for o in 0..outer {
-            for d in start..start + len {
-                let base = (o * dim + d) * inner;
-                out.extend_from_slice(&v[base..base + inner]);
+        let run = (inner - lane).min(out.len() - done);
+        let dst = &mut out[done..done + run];
+        match step {
+            0 => dst.fill(src[base]),
+            1 => dst.copy_from_slice(&src[base..base + run]),
+            _ => {
+                for (j, d) in dst.iter_mut().enumerate() {
+                    *d = src[base + j * step];
+                }
             }
         }
-        out
+        done += run;
+        pos += run;
     }
-
-    let data = match a.data() {
-        Data::F64(v) => Data::F64(slice_vec(v, outer, dim, inner, start, len)),
-        Data::I64(v) => Data::I64(slice_vec(v, outer, dim, inner, start, len)),
-        Data::Bool(v) => Data::Bool(slice_vec(v, outer, dim, inner, start, len)),
-    };
-    Array::new(shape.clone(), data)
 }
 
-fn eval_gather(src: &Array, idx: &Array, shape: &Shape) -> Array {
-    let indices = idx.as_i64();
+/// `out[q·k + j] = parts[j][q]` over the block starting at flat `b0`.
+fn stack<T: Copy>(parts: &[&[T]], b0: usize, out: &mut [T]) {
+    let k = parts.len();
+    let b1 = b0 + out.len();
+    for (j, part) in parts.iter().enumerate() {
+        let first = if b0 > j { (b0 - j).div_ceil(k) } else { 0 };
+        let end = if b1 > j { (b1 - j).div_ceil(k) } else { 0 };
+        for q in first..end {
+            out[q * k + j - b0] = part[q];
+        }
+    }
+}
+
+impl Operands<'_> {
+    fn val<T: Elem>(&self, src: Src) -> Val<'_, T> {
+        match src {
+            Src::Slot(s) => {
+                Val::Run(&T::of(self.slots[s].as_ref().expect("slot written"))[..self.n])
+            }
+            Src::Buffer(r) => Val::Run(&T::of(self.frame.data(r))[self.b0..self.b0 + self.n]),
+            Src::Splat(r) => Val::Splat(T::of(self.frame.data(r))[0]),
+        }
+    }
+
+    fn parts<T: Elem>(&self, parts: &[NodeId]) -> Vec<&[T]> {
+        parts.iter().map(|&p| T::of(self.frame.data(p))).collect()
+    }
+
+    /// Run `inst` on this block, writing `out[range]`.
+    fn exec(&self, inst: &Inst, out: &mut Data, range: std::ops::Range<usize>) {
+        let src = |k: usize| inst.srcs[k];
+        match (&inst.kind, out) {
+            (Kind::Iota, Data::I64(o)) => {
+                for (i, o) in o[range].iter_mut().enumerate() {
+                    *o = (self.b0 + i) as i64;
+                }
+            }
+            (Kind::Unary(op), Data::F64(o)) => unary_f64(*op, &mut o[range], self.val(src(0))),
+            (Kind::Unary(_), Data::Bool(o)) => map1(&mut o[range], self.val(src(0)), |x: bool| !x),
+            (Kind::Binary(op, dtype), Data::Bool(o)) => {
+                let o = &mut o[range];
+                let (a, b) = (src(0), src(1));
+                match dtype {
+                    DType::F64 => compare(*op, o, self.val::<f64>(a), self.val(b)),
+                    DType::I64 => compare(*op, o, self.val::<i64>(a), self.val(b)),
+                    DType::Bool => {
+                        let (a, b) = (self.val::<bool>(a), self.val(b));
+                        match op {
+                            BinaryOp::And => map2(o, a, b, |x, y| x && y),
+                            BinaryOp::Or => map2(o, a, b, |x, y| x || y),
+                            _ => panic!("comparison on unsupported dtype pair"),
+                        }
+                    }
+                }
+            }
+            (Kind::Binary(op, _), Data::F64(o)) => {
+                arith_f64(*op, &mut o[range], self.val(src(0)), self.val(src(1)))
+            }
+            (Kind::Binary(op, _), Data::I64(o)) => {
+                arith_i64(*op, &mut o[range], self.val(src(0)), self.val(src(1)))
+            }
+            (Kind::Select, out) => {
+                let (c, t, f) = (self.val(src(0)), src(1), src(2));
+                match out {
+                    Data::F64(o) => select(&mut o[range], c, self.val(t), self.val(f)),
+                    Data::I64(o) => select(&mut o[range], c, self.val(t), self.val(f)),
+                    Data::Bool(o) => select(&mut o[range], c, self.val(t), self.val(f)),
+                }
+            }
+            (Kind::Convert(from), out) => {
+                let a = src(0);
+                match (from, out) {
+                    (DType::F64, Data::I64(o)) => {
+                        map1(&mut o[range], self.val(a), |x: f64| x as i64)
+                    }
+                    (DType::I64, Data::F64(o)) => {
+                        map1(&mut o[range], self.val(a), |x: i64| x as f64)
+                    }
+                    (DType::Bool, Data::F64(o)) => {
+                        map1(
+                            &mut o[range],
+                            self.val(a),
+                            |x: bool| if x { 1.0 } else { 0.0 },
+                        )
+                    }
+                    (DType::Bool, Data::I64(o)) => {
+                        map1(&mut o[range], self.val(a), |x: bool| x as i64)
+                    }
+                    (d, out) => panic!("unsupported convert {d:?} -> {:?}", out.dtype()),
+                }
+            }
+            (Kind::Load { root, walk }, out) => {
+                let src = self.frame.data(*root);
+                match out {
+                    Data::F64(o) => load(f64::of(src), walk, self.b0, &mut o[range]),
+                    Data::I64(o) => load(i64::of(src), walk, self.b0, &mut o[range]),
+                    Data::Bool(o) => load(bool::of(src), walk, self.b0, &mut o[range]),
+                }
+            }
+            (Kind::Stack(parts), out) => match out {
+                Data::F64(o) => stack(&self.parts::<f64>(parts), self.b0, &mut o[range]),
+                Data::I64(o) => stack(&self.parts::<i64>(parts), self.b0, &mut o[range]),
+                Data::Bool(o) => stack(&self.parts::<bool>(parts), self.b0, &mut o[range]),
+            },
+            (kind, out) => panic!("{kind:?} cannot write {:?}", out.dtype()),
+        }
+    }
+}
+
+/// Run a non-elementwise node by its routine.
+fn eval_node(graph: &Graph, id: NodeId, frame: &Frame) -> Data {
+    let node = graph.node(id);
+    let value = |o: NodeId| frame.data(frame.plan.root[o]);
+    match &node.op {
+        Op::Gather { src, idx } => eval_gather(value(*src), i64::of(value(*idx))),
+        Op::ScatterAdd { size, idx, val } => {
+            eval_scatter_add(*size, i64::of(value(*idx)), value(*val))
+        }
+        Op::ReduceSum { a, axis } => eval_reduce_sum(value(*a), &graph.node(*a).shape, *axis),
+        op => unreachable!("{op:?} runs in a fused loop"),
+    }
+}
+
+fn eval_gather(src: &Data, indices: &[i64]) -> Data {
     let pick = |i: i64, len: usize| -> usize {
         assert!(
             i >= 0 && (i as usize) < len,
@@ -537,17 +523,15 @@ fn eval_gather(src: &Array, idx: &Array, shape: &Shape) -> Array {
         );
         i as usize
     };
-    let data = match src.data() {
+    match src {
         Data::F64(v) => Data::F64(indices.iter().map(|&i| v[pick(i, v.len())]).collect()),
         Data::I64(v) => Data::I64(indices.iter().map(|&i| v[pick(i, v.len())]).collect()),
         Data::Bool(v) => Data::Bool(indices.iter().map(|&i| v[pick(i, v.len())]).collect()),
-    };
-    Array::new(shape.clone(), data)
+    }
 }
 
-fn eval_scatter_add(size: usize, idx: &Array, val: &Array) -> Array {
-    let indices = idx.as_i64();
-    match val.data() {
+fn eval_scatter_add(size: usize, indices: &[i64], val: &Data) -> Data {
+    match val {
         Data::F64(v) => {
             let mut out = vec![0.0f64; size];
             for (&i, &x) in indices.iter().zip(v) {
@@ -557,7 +541,7 @@ fn eval_scatter_add(size: usize, idx: &Array, val: &Array) -> Array {
                 );
                 out[i as usize] += x;
             }
-            Array::new(vec![size], Data::F64(out))
+            Data::F64(out)
         }
         Data::I64(v) => {
             let mut out = vec![0i64; size];
@@ -565,19 +549,18 @@ fn eval_scatter_add(size: usize, idx: &Array, val: &Array) -> Array {
                 assert!(i >= 0 && (i as usize) < size);
                 out[i as usize] += x;
             }
-            Array::new(vec![size], Data::I64(out))
+            Data::I64(out)
         }
         Data::Bool(_) => panic!("scatter_add on Bool"),
     }
 }
 
-fn eval_reduce_sum(a: &Array, axis: usize, shape: &Shape) -> Array {
-    let in_shape = a.shape();
+fn eval_reduce_sum(a: &Data, in_shape: &Shape, axis: usize) -> Data {
     let outer: usize = in_shape.0[..axis].iter().product();
     let dim = in_shape.0[axis];
     let inner: usize = in_shape.0[axis + 1..].iter().product();
 
-    match a.data() {
+    match a {
         Data::F64(v) => {
             let mut out = vec![0.0f64; outer * inner];
             for o in 0..outer {
@@ -588,7 +571,7 @@ fn eval_reduce_sum(a: &Array, axis: usize, shape: &Shape) -> Array {
                     }
                 }
             }
-            Array::new(shape.clone(), Data::F64(out))
+            Data::F64(out)
         }
         Data::I64(v) => {
             let mut out = vec![0i64; outer * inner];
@@ -600,7 +583,7 @@ fn eval_reduce_sum(a: &Array, axis: usize, shape: &Shape) -> Array {
                     }
                 }
             }
-            Array::new(shape.clone(), Data::I64(out))
+            Data::I64(out)
         }
         Data::Bool(_) => panic!("reduce_sum on Bool"),
     }
@@ -622,8 +605,9 @@ mod tests {
         let out = build(&tc);
         let g = tc.finish(&[&out]);
         let p = compile("test", &g);
+        let views: Vec<ArrayView> = args.iter().map(Array::view).collect();
         let mut c = ctx();
-        run(&mut c, Backend::Device, &p, args).remove(0)
+        run(&mut c, Backend::Device, &p, &views).remove(0)
     }
 
     #[test]
@@ -739,7 +723,12 @@ mod tests {
         let g = tc.finish(&[&y]);
         let p = compile("charged", &g);
         let mut c = ctx();
-        run(&mut c, Backend::Device, &p, &[Array::zeros(vec![1000])]);
+        run(
+            &mut c,
+            Backend::Device,
+            &p,
+            &[Array::zeros(vec![1000]).view()],
+        );
         assert!(c.stats().keys().any(|k| k.starts_with("charged/fused")));
         assert!(c.stats().contains_key("charged/dispatch"));
         assert_eq!(c.trace().kernel_count(), p.stages.len());
@@ -754,14 +743,10 @@ mod tests {
         let p = compile("slow", &g);
 
         let mut dev = ctx();
-        run(
-            &mut dev,
-            Backend::Device,
-            &p,
-            &[Array::zeros(vec![1_000_000])],
-        );
+        let x = Array::zeros(vec![1_000_000]);
+        run(&mut dev, Backend::Device, &p, &[x.view()]);
         let mut cpu = ctx();
-        run(&mut cpu, Backend::Cpu, &p, &[Array::zeros(vec![1_000_000])]);
+        run(&mut cpu, Backend::Cpu, &p, &[x.view()]);
         assert!(
             cpu.total_seconds() > 5.0 * dev.total_seconds(),
             "cpu {} dev {}",
@@ -781,7 +766,7 @@ mod tests {
         let g = tc.finish(&[&y]);
         let p = compile("sig", &g);
         let mut c = ctx();
-        run(&mut c, Backend::Device, &p, &[Array::zeros(vec![5])]);
+        run(&mut c, Backend::Device, &p, &[Array::zeros(vec![5]).view()]);
     }
 
     #[test]

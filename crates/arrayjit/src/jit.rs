@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use accel_sim as accel;
 
-use crate::array::{Array, DType};
+use crate::array::{Array, ArrayView, DType};
 use crate::compile::{compile, Program};
 use crate::exec::{run, Backend};
 use crate::shape::Shape;
@@ -53,12 +53,12 @@ impl Jit {
         self.cache.len()
     }
 
-    /// Call with runtime arguments only.
+    /// Call with borrowed runtime arguments only.
     pub fn call(
         &mut self,
         ctx: &mut accel::Context,
         backend: Backend,
-        args: &[Array],
+        args: &[ArrayView],
     ) -> Vec<Array> {
         self.call_static(ctx, backend, args, &[])
     }
@@ -72,15 +72,10 @@ impl Jit {
         &mut self,
         ctx: &mut accel::Context,
         backend: Backend,
-        args: &[Array],
+        args: &[ArrayView],
         statics: &[i64],
     ) -> Vec<Array> {
-        let sig: Signature = (
-            args.iter()
-                .map(|a| (a.shape().clone(), a.dtype()))
-                .collect(),
-            statics.to_vec(),
-        );
+        let sig = signature(args, statics);
         let program = match self.cache.get(&sig) {
             Some(p) => p.clone(),
             None => {
@@ -106,15 +101,18 @@ impl Jit {
 
     /// The compiled program for a signature, if cached (for inspection in
     /// tests and the LoC/fusion analysis).
-    pub fn program_for(&self, args: &[Array], statics: &[i64]) -> Option<Arc<Program>> {
-        let sig: Signature = (
-            args.iter()
-                .map(|a| (a.shape().clone(), a.dtype()))
-                .collect(),
-            statics.to_vec(),
-        );
-        self.cache.get(&sig).cloned()
+    pub fn program_for(&self, args: &[ArrayView], statics: &[i64]) -> Option<Arc<Program>> {
+        self.cache.get(&signature(args, statics)).cloned()
     }
+}
+
+fn signature(args: &[ArrayView], statics: &[i64]) -> Signature {
+    (
+        args.iter()
+            .map(|a| (a.shape().clone(), a.dtype()))
+            .collect(),
+        statics.to_vec(),
+    )
 }
 
 #[cfg(test)]
@@ -140,19 +138,19 @@ mod tests {
         let a = Array::scalar_f64(2.0);
         let x = Array::from_f64(vec![1., 2., 3.]);
         let y = Array::from_f64(vec![10., 10., 10.]);
-        let out = f.call(&mut c, Backend::Device, &[a.clone(), x.clone(), y.clone()]);
+        let out = f.call(&mut c, Backend::Device, &[a.view(), x.view(), y.view()]);
         assert_eq!(out[0].as_f64(), &[12., 14., 16.]);
         assert_eq!(f.compiled_signatures(), 1);
 
         // Same signature: no recompile.
-        f.call(&mut c, Backend::Device, &[a.clone(), x, y]);
+        f.call(&mut c, Backend::Device, &[a.view(), x.view(), y.view()]);
         assert_eq!(f.compiled_signatures(), 1);
         assert_eq!(c.stats()["saxpy/jit_compile"].calls, 1);
 
         // New shape: recompile.
         let x2 = Array::from_f64(vec![1., 2.]);
         let y2 = Array::from_f64(vec![0., 0.]);
-        f.call(&mut c, Backend::Device, &[a, x2, y2]);
+        f.call(&mut c, Backend::Device, &[a.view(), x2.view(), y2.view()]);
         assert_eq!(f.compiled_signatures(), 2);
         assert_eq!(c.stats()["saxpy/jit_compile"].calls, 2);
     }
@@ -168,9 +166,9 @@ mod tests {
         });
         let mut c = ctx();
         let x = Array::from_f64(vec![1., 2., 3., 4.]);
-        let a = f.call_static(&mut c, Backend::Device, std::slice::from_ref(&x), &[2]);
+        let a = f.call_static(&mut c, Backend::Device, &[x.view()], &[2]);
         assert_eq!(a[0].as_f64(), &[1., 2.]);
-        let b = f.call_static(&mut c, Backend::Device, std::slice::from_ref(&x), &[3]);
+        let b = f.call_static(&mut c, Backend::Device, &[x.view()], &[3]);
         assert_eq!(b[0].as_f64(), &[1., 2., 3.]);
         assert_eq!(f.compiled_signatures(), 2);
     }
@@ -184,8 +182,9 @@ mod tests {
             Array::from_f64(vec![1.0; 8]),
             Array::from_f64(vec![2.0; 8]),
         ];
+        let views: Vec<ArrayView> = args.iter().map(Array::view).collect();
         for _ in 0..5 {
-            f.call(&mut c, Backend::Device, &args);
+            f.call(&mut c, Backend::Device, &views);
         }
         assert_eq!(c.stats()["saxpy/dispatch"].calls, 5);
     }
@@ -197,7 +196,10 @@ mod tests {
         let out = f.call(
             &mut c,
             Backend::Device,
-            &[Array::from_f64(vec![5., 7.]), Array::from_f64(vec![1., 2.])],
+            &[
+                Array::from_f64(vec![5., 7.]).view(),
+                Array::from_f64(vec![1., 2.]).view(),
+            ],
         );
         assert_eq!(out[0].as_f64(), &[6., 9.]);
         assert_eq!(out[1].as_f64(), &[4., 5.]);
@@ -211,9 +213,9 @@ mod tests {
         });
         let x = Array::from_f64((0..64).map(|i| i as f64 * 0.1).collect());
         let mut c1 = ctx();
-        let dev = f.call(&mut c1, Backend::Device, std::slice::from_ref(&x));
+        let dev = f.call(&mut c1, Backend::Device, &[x.view()]);
         let mut c2 = ctx();
-        let cpu = f.call(&mut c2, Backend::Cpu, std::slice::from_ref(&x));
+        let cpu = f.call(&mut c2, Backend::Cpu, &[x.view()]);
         assert_eq!(dev[0], cpu[0]);
     }
 }

@@ -10,7 +10,8 @@
 //!   time, so variable-length data (TOAST's intervals) must be padded.
 //! * **A compiler** ([`compile`]): DCE, CSE, elementwise fusion and
 //!   dot-pattern library matching, with per-stage cost profiles computed
-//!   from the static shapes.
+//!   from the static shapes, and a host execution [`plan`] that runs each
+//!   fused stage as one blocked loop.
 //! * **A JIT cache** ([`jit`]): one compile per (shapes, statics)
 //!   signature, charged to the simulation clock like the paper's runtimes.
 //! * **Two backends** ([`exec`]): the simulated device, and a deliberately
@@ -31,9 +32,9 @@
 //!     &mut ctx,
 //!     Backend::Device,
 //!     &[
-//!         Array::scalar_f64(3.0),
-//!         Array::from_f64(vec![1.0, 2.0]),
-//!         Array::from_f64(vec![0.5, 0.5]),
+//!         Array::scalar_f64(3.0).view(),
+//!         Array::from_f64(vec![1.0, 2.0]).view(),
+//!         Array::from_f64(vec![0.5, 0.5]).view(),
 //!     ],
 //! );
 //! assert_eq!(out[0].as_f64(), &[3.5, 6.5]);
@@ -46,10 +47,11 @@ pub mod compile;
 pub mod exec;
 pub mod ir;
 pub mod jit;
+pub mod plan;
 pub mod shape;
 pub mod trace;
 
-pub use array::{Array, DType, Data};
+pub use array::{Array, ArrayView, DType, Data};
 pub use compile::{Program, Stage, StageKind};
 pub use exec::{run, Backend};
 pub use jit::Jit;

@@ -105,23 +105,24 @@ impl std::fmt::Display for Shape {
     }
 }
 
-/// Iterate the flat index of `src` (with shape `src_shape`) that corresponds
-/// to flat index `flat` of the broadcast shape `out_shape`.
-// The index loop walks paired out/src stride tables.
-#[allow(clippy::needless_range_loop)]
+/// The flat index of `src` (with shape `src_shape`) that corresponds to
+/// flat index `flat` of the broadcast shape `out_shape`. Walks the axes
+/// innermost first, accumulating strides as it goes, so it allocates
+/// nothing.
 pub fn broadcast_index(flat: usize, out_shape: &Shape, src_shape: &Shape) -> usize {
-    let out_rank = out_shape.rank();
-    let src_rank = src_shape.rank();
-    let out_strides = out_shape.strides();
-    let src_strides = src_shape.strides();
-    let mut src_flat = 0usize;
-    for axis in 0..out_rank {
-        let coord = (flat / out_strides[axis]) % out_shape.0[axis];
-        if axis >= out_rank - src_rank {
-            let s_axis = axis - (out_rank - src_rank);
-            if src_shape.0[s_axis] != 1 {
-                src_flat += coord * src_strides[s_axis];
+    let pad = out_shape.rank() - src_shape.rank();
+    let mut rest = flat;
+    let mut src_flat = 0;
+    let mut src_stride = 1;
+    for axis in (0..out_shape.rank()).rev() {
+        let coord = rest % out_shape.0[axis];
+        rest /= out_shape.0[axis];
+        if axis >= pad {
+            let d = src_shape.0[axis - pad];
+            if d != 1 {
+                src_flat += coord * src_stride;
             }
+            src_stride *= d;
         }
     }
     src_flat

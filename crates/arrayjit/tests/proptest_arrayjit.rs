@@ -26,7 +26,7 @@ proptest! {
             let s2 = x.sin();
             vec![&s1 + &s2 + tc.constant(1.0)]
         });
-        let out = f.call(&mut ctx(), Backend::Device, &[Array::from_f64(xs.clone())]);
+        let out = f.call(&mut ctx(), Backend::Device, &[Array::from_f64(xs.clone()).view()]);
         for (o, x) in out[0].as_f64().iter().zip(&xs) {
             let expected = 2.0 * x.sin() + 1.0;
             prop_assert!((o - expected).abs() < 1e-12);
@@ -42,7 +42,8 @@ proptest! {
             let mask = prod.gt(&tc.constant(0.0));
             vec![mask.select(&prod.sqrt(), &prod.neg())]
         });
-        let args = [Array::from_f64(xs), Array::from_f64(ys)];
+        let (x, y) = (Array::from_f64(xs), Array::from_f64(ys));
+        let args = [x.view(), y.view()];
         let dev = f.call(&mut ctx(), Backend::Device, &args);
         let cpu = f.call(&mut ctx(), Backend::Cpu, &args);
         prop_assert_eq!(&dev[0], &cpu[0]);
@@ -60,7 +61,7 @@ proptest! {
         let out = f.call(
             &mut ctx(),
             Backend::Device,
-            &[Array::from_f64(vals.clone()), Array::from_i64(idx)],
+            &[Array::from_f64(vals.clone()).view(), Array::from_i64(idx).view()],
         );
         let total: f64 = out[0].as_f64().iter().sum();
         let expected: f64 = vals.iter().sum();
@@ -74,7 +75,7 @@ proptest! {
         let mut f = Jit::new("gi", move |tc, p, _| {
             vec![p[0].gather(&tc.iota(n))]
         });
-        let out = f.call(&mut ctx(), Backend::Device, &[Array::from_f64(xs.clone())]);
+        let out = f.call(&mut ctx(), Backend::Device, &[Array::from_f64(xs.clone()).view()]);
         prop_assert_eq!(out[0].as_f64(), xs.as_slice());
     }
 
@@ -86,7 +87,7 @@ proptest! {
             vec![p[0].reduce_sum(1).reduce_sum(0), p[0].reduce_sum(0).reduce_sum(0)]
         });
         let m = Array::from_f64_shaped(vec![4, 6], xs.clone());
-        let out = f.call(&mut ctx(), Backend::Device, &[m]);
+        let out = f.call(&mut ctx(), Backend::Device, &[m.view()]);
         let expected: f64 = xs.iter().sum();
         prop_assert!((out[0].as_f64()[0] - expected).abs() < 1e-6);
         prop_assert!((out[1].as_f64()[0] - expected).abs() < 1e-6);
@@ -99,7 +100,7 @@ proptest! {
         let mut f = Jit::new("c", |_tc, p, _| vec![p[0].mul_s(2.0)]);
         let mut c = ctx();
         for _ in 0..repeats {
-            f.call(&mut c, Backend::Device, &[Array::zeros(vec![len])]);
+            f.call(&mut c, Backend::Device, &[Array::zeros(vec![len]).view()]);
         }
         prop_assert_eq!(f.compiled_signatures(), 1);
         prop_assert_eq!(c.stats()["c/jit_compile"].calls, 1);

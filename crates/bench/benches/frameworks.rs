@@ -37,10 +37,11 @@ fn bench_dispatch(c: &mut Criterion) {
     g.bench_function("cached_call_small", |b| {
         let mut f = Jit::new("d", |_tc, p, _| vec![&p[0] * &p[1]]);
         let mut context = ctx();
-        let args = [
+        let (x, y) = (
             Array::from_f64(vec![1.0; 64]),
             Array::from_f64(vec![2.0; 64]),
-        ];
+        );
+        let args = [x.view(), y.view()];
         f.call(&mut context, Backend::Device, &args); // compile once
         b.iter(|| {
             black_box(f.call(&mut context, Backend::Device, &args));

@@ -598,6 +598,24 @@ mod tests {
     }
 
     #[test]
+    fn omp_trace_renders_identically_twice_in_one_process() {
+        // Each run's hash maps get fresh random seeds, so any free list or
+        // buffer table drained in hash order would reorder the rendered
+        // `accel_data_free` spans between the two runs.
+        let cfg = tiny_cfg(ImplKind::OmpTarget, 4);
+        let (a, b) = (run_config(&cfg).unwrap(), run_config(&cfg).unwrap());
+        for format in [crate::TraceFormat::Chrome, crate::TraceFormat::Jsonl] {
+            let render = |out: &RunOutcome| {
+                crate::traceout::render_trace(&out.traces, out.timeline.as_ref(), format)
+            };
+            assert!(
+                render(&a) == render(&b),
+                "{format:?} traces of two identical omp runs differ"
+            );
+        }
+    }
+
+    #[test]
     fn written_trace_round_trips_per_label_seconds() {
         // The acceptance check: export the trace a fig binary would write
         // with `--trace-out`, parse it back, and match `run_config`'s

@@ -54,21 +54,15 @@ pub fn run(
     let n_det = ws.obs.n_det;
     let n_samp = ws.obs.n_samples;
     let nnz = ws.geom.nnz;
-    let mask = store.sample_mask(ctx, ws);
-    let pixels = store
-        .array(BufferId::Pixels)?
-        .clone()
-        .reshaped(vec![n_det, n_samp]);
+    store.stage_sample_mask(ctx, ws);
+    let mask = store.sample_mask().view();
+    let pixels = store.array(BufferId::Pixels)?.view_as(vec![n_det, n_samp]);
     let weights = store
         .array(BufferId::Weights)?
-        .clone()
-        .reshaped(vec![n_det, n_samp, nnz]);
-    let signal = store
-        .array(BufferId::Signal)?
-        .clone()
-        .reshaped(vec![n_det, n_samp]);
-    let det_weights = store.array(BufferId::DetWeights)?.clone();
-    let zmap = store.array(BufferId::ZMap)?.clone();
+        .view_as(vec![n_det, n_samp, nnz]);
+    let signal = store.array(BufferId::Signal)?.view_as(vec![n_det, n_samp]);
+    let det_weights = store.array(BufferId::DetWeights)?.view();
+    let zmap = store.array(BufferId::ZMap)?.view();
 
     let out = jit
         .call_static(

@@ -28,12 +28,10 @@ pub fn run(
 ) -> Result<(), ResidencyError> {
     let n_det = ws.obs.n_det;
     let n_samp = ws.obs.n_samples;
-    let mask = store.sample_mask(ctx, ws);
-    let signal = store
-        .array(BufferId::Signal)?
-        .clone()
-        .reshaped(vec![n_det, n_samp]);
-    let det_weights = store.array(BufferId::DetWeights)?.clone();
+    store.stage_sample_mask(ctx, ws);
+    let mask = store.sample_mask().view();
+    let signal = store.array(BufferId::Signal)?.view_as(vec![n_det, n_samp]);
+    let det_weights = store.array(BufferId::DetWeights)?.view();
 
     let out = jit
         .call(ctx, backend, &[signal, det_weights, mask])

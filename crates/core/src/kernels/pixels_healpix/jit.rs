@@ -91,15 +91,12 @@ pub fn run(
         "pixel indices must stay exactly representable in f64"
     );
     assert!(!ws.geom.nest, "the arrayjit port implements RING ordering");
-    let mask = store.sample_mask(ctx, ws);
+    store.stage_sample_mask(ctx, ws);
+    let mask = store.sample_mask().view();
     let quats = store
         .array(BufferId::Quats)?
-        .clone()
-        .reshaped(vec![n_det, n_samp, 4]);
-    let old_pix = store
-        .array(BufferId::Pixels)?
-        .clone()
-        .reshaped(vec![n_det, n_samp]);
+        .view_as(vec![n_det, n_samp, 4]);
+    let old_pix = store.array(BufferId::Pixels)?.view_as(vec![n_det, n_samp]);
 
     let out = jit
         .call_static(
@@ -166,49 +163,19 @@ mod tests {
         // flops/sample in the compiled program include both arms of every
         // select: well above what one arm needs in IR op counts.
         let mut jit2 = build();
-        let quats = store_array(&store, BufferId::Quats, 1, 64);
-        let pix = store_array_i(&store, 1, 64);
+        let AccelStore::Jit(s) = &store else {
+            unreachable!()
+        };
         let mask = arrayjit::Array::from_f64(vec![1.0; 64]);
-        jit2.call_static(&mut ctx, Backend::Device, &[quats, pix, mask], &[16]);
-        let program = jit2
-            .program_for(
-                &[
-                    store_array(&store, BufferId::Quats, 1, 64),
-                    store_array_i(&store, 1, 64),
-                    arrayjit::Array::from_f64(vec![1.0; 64]),
-                ],
-                &[16],
-            )
-            .unwrap();
+        let args = [
+            s.array(BufferId::Quats).unwrap().view_as(vec![1, 64, 4]),
+            s.array(BufferId::Pixels).unwrap().view_as(vec![1, 64]),
+            mask.view(),
+        ];
+        jit2.call_static(&mut ctx, Backend::Device, &args, &[16]);
+        let program = jit2.program_for(&args, &[16]).unwrap();
         // One arm costs ~60 IR flop-units (rotation + atan2 + one region's
         // arithmetic); predication forces both arms plus the merge.
         assert!(program.total_flops() / n_samp > 100.0);
-    }
-
-    fn store_array(
-        store: &AccelStore,
-        id: BufferId,
-        n_det: usize,
-        n_samp: usize,
-    ) -> arrayjit::Array {
-        match store {
-            AccelStore::Jit(s) => s
-                .array(id)
-                .unwrap()
-                .clone()
-                .reshaped(vec![n_det, n_samp, 4]),
-            _ => unreachable!(),
-        }
-    }
-
-    fn store_array_i(store: &AccelStore, n_det: usize, n_samp: usize) -> arrayjit::Array {
-        match store {
-            AccelStore::Jit(s) => s
-                .array(BufferId::Pixels)
-                .unwrap()
-                .clone()
-                .reshaped(vec![n_det, n_samp]),
-            _ => unreachable!(),
-        }
     }
 }

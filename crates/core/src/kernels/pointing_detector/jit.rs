@@ -47,19 +47,13 @@ pub fn run(
 ) -> Result<(), ResidencyError> {
     let n_det = ws.obs.n_det;
     let n_samp = ws.obs.n_samples;
-    let mask = store.sample_mask(ctx, ws);
-    let bore = store
-        .array(BufferId::Boresight)?
-        .clone()
-        .reshaped(vec![n_samp, 4]);
-    let fp = store
-        .array(BufferId::FpQuats)?
-        .clone()
-        .reshaped(vec![n_det, 4]);
+    store.stage_sample_mask(ctx, ws);
+    let mask = store.sample_mask().view();
+    let bore = store.array(BufferId::Boresight)?.view_as(vec![n_samp, 4]);
+    let fp = store.array(BufferId::FpQuats)?.view_as(vec![n_det, 4]);
     let old = store
         .array(BufferId::Quats)?
-        .clone()
-        .reshaped(vec![n_det, n_samp, 4]);
+        .view_as(vec![n_det, n_samp, 4]);
 
     let out = jit
         .call(ctx, backend, &[bore, fp, old, mask])

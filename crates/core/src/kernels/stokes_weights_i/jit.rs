@@ -41,11 +41,11 @@ pub fn run(
     let n_det = ws.obs.n_det;
     let n_samp = ws.obs.n_samples;
     let nnz = ws.geom.nnz;
-    let mask = store.sample_mask(ctx, ws);
+    store.stage_sample_mask(ctx, ws);
+    let mask = store.sample_mask().view();
     let old = store
         .array(BufferId::Weights)?
-        .clone()
-        .reshaped(vec![n_det, n_samp, nnz]);
+        .view_as(vec![n_det, n_samp, nnz]);
 
     let out = jit
         .call_static(ctx, backend, &[old, mask], &[nnz as i64])

@@ -52,16 +52,15 @@ pub fn run(
     assert_eq!(ws.geom.nnz, 3, "stokes_weights_IQU needs nnz == 3");
     let n_det = ws.obs.n_det;
     let n_samp = ws.obs.n_samples;
-    let mask = store.sample_mask(ctx, ws);
+    store.stage_sample_mask(ctx, ws);
+    let mask = store.sample_mask().view();
     let quats = store
         .array(BufferId::Quats)?
-        .clone()
-        .reshaped(vec![n_det, n_samp, 4]);
-    let eps = store.array(BufferId::DetEpsilon)?.clone();
+        .view_as(vec![n_det, n_samp, 4]);
+    let eps = store.array(BufferId::DetEpsilon)?.view();
     let old = store
         .array(BufferId::Weights)?
-        .clone()
-        .reshaped(vec![n_det, n_samp, 3]);
+        .view_as(vec![n_det, n_samp, 3]);
 
     let out = jit
         .call(ctx, backend, &[quats, eps, old, mask])

@@ -35,12 +35,10 @@ pub fn run(
 ) -> Result<(), ResidencyError> {
     let n_det = ws.obs.n_det;
     let n_samp = ws.obs.n_samples;
-    let mask = store.sample_mask(ctx, ws);
-    let signal = store
-        .array(BufferId::Signal)?
-        .clone()
-        .reshaped(vec![n_det, n_samp]);
-    let amplitudes = store.array(BufferId::Amplitudes)?.clone();
+    store.stage_sample_mask(ctx, ws);
+    let mask = store.sample_mask().view();
+    let signal = store.array(BufferId::Signal)?.view_as(vec![n_det, n_samp]);
+    let amplitudes = store.array(BufferId::Amplitudes)?.view();
 
     let out = jit
         .call_static(

@@ -23,8 +23,8 @@ pub fn run(
     ws: &Workspace,
 ) -> Result<(), ResidencyError> {
     let _ = ws;
-    let amps = store.array(BufferId::Amplitudes)?.clone();
-    let precond = store.array(BufferId::Precond)?.clone();
+    let amps = store.array(BufferId::Amplitudes)?.view();
+    let precond = store.array(BufferId::Precond)?.view();
     let out = jit.call(ctx, backend, &[amps, precond]).remove(0);
     store.replace(BufferId::AmpOut, out)?;
     Ok(())

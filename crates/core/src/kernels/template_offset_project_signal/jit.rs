@@ -63,15 +63,12 @@ pub fn run(
 ) -> Result<(), ResidencyError> {
     let n_det = ws.obs.n_det;
     let n_samp = ws.obs.n_samples;
-    let mask = store.sample_mask(ctx, ws);
-    let signal = store
-        .array(BufferId::Signal)?
-        .clone()
-        .reshaped(vec![n_det, n_samp]);
+    store.stage_sample_mask(ctx, ws);
+    let mask = store.sample_mask().view();
+    let signal = store.array(BufferId::Signal)?.view_as(vec![n_det, n_samp]);
     let amp_out = store
         .array(BufferId::AmpOut)?
-        .clone()
-        .reshaped(vec![n_det, ws.n_amp]);
+        .view_as(vec![n_det, ws.n_amp]);
 
     let out = jit
         .call_static(
@@ -88,7 +85,7 @@ pub fn run(
 
 /// Whether the compiled program hit the library-dot path (exposed for the
 /// ablation bench).
-pub fn used_library_path(jit: &Jit, args: &[arrayjit::Array], statics: &[i64]) -> bool {
+pub fn used_library_path(jit: &Jit, args: &[arrayjit::ArrayView], statics: &[i64]) -> bool {
     jit.program_for(args, statics)
         .map(|p| p.stages.iter().any(|s| s.kind == StageKind::LibraryDot))
         .unwrap_or(false)

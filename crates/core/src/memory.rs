@@ -216,11 +216,12 @@ impl AccelStore {
 }
 
 impl JitStore {
-    /// The 0/1 in-interval mask `[n_samp]`, built (and uploaded) once per
-    /// residency period.
-    pub fn sample_mask(&mut self, ctx: &mut Context, ws: &Workspace) -> Array {
-        if let Some(m) = &self.sample_mask {
-            return m.clone();
+    /// Build (and upload) the 0/1 in-interval mask `[n_samp]` once per
+    /// residency period; kernels then borrow it with
+    /// [`JitStore::sample_mask`].
+    pub fn stage_sample_mask(&mut self, ctx: &mut Context, ws: &Workspace) {
+        if self.sample_mask.is_some() {
+            return;
         }
         let mut mask = vec![0.0f64; ws.obs.n_samples];
         for iv in &ws.obs.intervals {
@@ -234,9 +235,15 @@ impl JitStore {
             }
             ctx.transfer(bytes as f64, TransferDir::HostToDevice);
         }
-        let array = Array::from_f64(mask);
-        self.sample_mask = Some(array.clone());
-        array
+        self.sample_mask = Some(Array::from_f64(mask));
+    }
+
+    /// The staged sample mask; panics if [`JitStore::stage_sample_mask`]
+    /// has not run this residency period (a kernel sequencing bug).
+    pub fn sample_mask(&self) -> &Array {
+        self.sample_mask
+            .as_ref()
+            .expect("sample mask staged before use")
     }
 
     /// Fetch an array; [`ResidencyError`] when the pipeline never staged
@@ -379,8 +386,8 @@ mod tests {
         let ws = test_workspace(2, 100, 4);
         let mut c = ctx();
         let mut store = JitStore::default();
-        let mask = store.sample_mask(&mut c, &ws);
-        let m = mask.as_f64();
+        store.stage_sample_mask(&mut c, &ws);
+        let m = store.sample_mask().as_f64();
         let mut expected = vec![0.0; 100];
         for iv in &ws.obs.intervals {
             expected[iv.start..iv.end].fill(1.0);
@@ -388,7 +395,7 @@ mod tests {
         assert_eq!(m, expected.as_slice());
         // Cached on second use.
         let transfers = c.stats()["accel_data_update_device"].calls;
-        store.sample_mask(&mut c, &ws);
+        store.stage_sample_mask(&mut c, &ws);
         assert_eq!(c.stats()["accel_data_update_device"].calls, transfers);
     }
 
