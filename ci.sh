@@ -77,6 +77,24 @@ done
 echo "== fig5 cluster smoke (scenarios/fig5_4node.json)"
 cargo run --release -p repro-bench --bin fig5_full_benchmark -- \
   --scenario scenarios/fig5_4node.json >/dev/null
+# Two identical traced runs must write byte-identical JSONL traces: the
+# multi-node path (per-node shards, collective barriers, the label table)
+# may not leak hash or scheduling order into the span stream.
+tdir="target/ci_fig5_trace_det"
+rm -rf "$tdir"
+mkdir -p "$tdir"
+for run in a b; do
+  cargo run --release -p repro-bench --bin fig5_full_benchmark -- \
+    --scenario scenarios/fig5_4node.json --scale 2e-4 \
+    --trace-out "$tdir/$run.jsonl" >/dev/null
+done
+for impl in cpu jax jaxcpu omp; do
+  cmp "$tdir/a-$impl.jsonl" "$tdir/b-$impl.jsonl" || {
+    echo "fig5 4-node $impl trace differs between identical runs" >&2
+    exit 1
+  }
+done
+rm -rf "$tdir"
 
 echo "== trace determinism smoke (fig6 jax and omp traces, rendered twice)"
 # Two identical fig6 runs must write byte-identical traces in both

@@ -4,18 +4,18 @@
 //! loop. Ranks are numbered node-major (node `n`'s local rank `l` is
 //! global rank `n * ranks_per_node + l` when nodes are symmetric), GPUs
 //! likewise. Inter-node collectives appear in the traces as
-//! [`Segment::Collective`] entries whose `seconds` is the *analytic* solo
-//! cost from [`crate::comm`]; the engine turns them into a global barrier
-//! followed by a network phase during which each node's NIC is shared
-//! equally among that node's participating ranks — so with 8 ranks per
-//! node the network phase stretches to ~8× the analytic cost, and
-//! congestion *emerges* from link occupancy instead of being a formula's
-//! assumption.
+//! [`crate::trace::Segment::Collective`] entries whose `seconds` is the
+//! *analytic* solo cost from [`crate::comm`]; the engine turns them into
+//! a global barrier followed by a network phase during which each node's
+//! NIC is shared equally among that node's participating ranks — so with
+//! 8 ranks per node the network phase stretches to ~8× the analytic
+//! cost, and congestion *emerges* from link occupancy instead of being a
+//! formula's assumption.
 
 use crate::engine::error::EngineError;
 use crate::engine::sim::{simulate, SimOutput};
 use crate::node::{NodeConfig, NodeTimeline};
-use crate::trace::{RankTrace, Segment};
+use crate::trace::RankTrace;
 
 /// What a whole-cluster replay produced.
 #[derive(Debug, Clone, Default)]
@@ -84,25 +84,12 @@ pub fn simulate_cluster_traced(
     Ok((ClusterResult::from_output(out, node_traces.len()), timeline))
 }
 
-/// Total bytes moved by collective segments across all ranks of all
-/// nodes — convenience for reports.
-pub fn cluster_collective_bytes(node_traces: &[Vec<RankTrace>]) -> f64 {
-    node_traces
-        .iter()
-        .flatten()
-        .flat_map(|t| &t.segments)
-        .map(|s| match s {
-            Segment::Collective { bytes, .. } => *bytes,
-            _ => 0.0,
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::node::{simulate_node, TimelineKind};
     use crate::profile::KernelProfile;
+    use crate::trace::Segment;
 
     fn host(seconds: f64) -> Segment {
         Segment::Host {
@@ -240,11 +227,5 @@ mod tests {
         let c = trace(vec![host(10.0 * s)]);
         let res = simulate_cluster(&[vec![a, b, c]], &cfg).unwrap();
         assert!(res.wall_seconds >= 10.0 * s);
-    }
-
-    #[test]
-    fn collective_bytes_sum_across_nodes() {
-        let traces = vec![vec![trace(vec![coll(0.1)]); 2]; 3];
-        assert_eq!(cluster_collective_bytes(&traces), 6e6);
     }
 }

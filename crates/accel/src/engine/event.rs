@@ -2,33 +2,24 @@
 //!
 //! The engine is a fluid discrete-event simulation: between events every
 //! active flow drains at a constant rate, so its completion time is
-//! predictable the moment its rate is known. Those predictions live here.
+//! predictable the moment its rate is known. Those predictions live here,
+//! in a [`BinaryHeap`] ordered so its top is the earliest entry.
 //!
-//! Two mechanisms keep the queue cheap on the hot path:
+//! A rate change makes a flow's old prediction stale. Removing it from
+//! the middle of the heap would be `O(n)`, so every flow carries a
+//! generation counter and stale entries are skipped on pop. The engine
+//! reports each superseded prediction via [`EventQueue::note_stale`];
+//! once more than half the stored entries are stale (and the queue is
+//! big enough to matter) the next pop compacts first, dropping every
+//! stale entry in one `O(n)` sweep, so a rate-churn-heavy replay cannot
+//! grow the queue unboundedly.
 //!
-//! * **Bucketed calendar storage.** Instead of a binary heap's `O(log n)`
-//!   sift per operation, predictions are hashed by time into a cyclic
-//!   array of buckets (a calendar queue, Brown 1988). A push appends to
-//!   its bucket in `O(1)`; a pop scans the current bucket for the
-//!   earliest `(time, seq)` entry and advances the cursor through empty
-//!   buckets. The bucket count and width are re-tuned from the live
-//!   entries whenever the queue grows or shrinks past its operating
-//!   range, keeping the expected cost per operation `O(1)`.
-//! * **Lazy invalidation with bounded staleness.** A rate change makes a
-//!   flow's old prediction stale; removing it from the middle of the
-//!   structure eagerly would be `O(n)`, so every flow carries a
-//!   generation counter and stale entries are skipped on pop. Unlike the
-//!   classic lazy heap, the queue *bounds* stale growth: the engine
-//!   reports each superseded prediction via [`EventQueue::note_stale`],
-//!   and once more than half the stored entries are stale (and the queue
-//!   is big enough to matter) the next pop compacts — drops every stale
-//!   entry in one `O(n)` sweep — so a rate-churn-heavy replay cannot grow
-//!   the queue unboundedly.
-//!
-//! Pop order is the total order `(time, seq)` — `seq` is the push
-//! sequence number, so simultaneous predictions pop in push order and the
-//! replay is deterministic regardless of bucket layout, compaction or
-//! resize history.
+//! Pop order is the total order `(time, seq)`: `seq` is the push sequence
+//! number, so simultaneous predictions pop in push order and the replay
+//! is deterministic.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Which of a rank's concurrent flows an event refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,88 +63,60 @@ struct Entry {
     completion: Completion,
 }
 
-/// Minimum entries before staleness triggers compaction: tiny queues are
-/// cheap to scan and compacting them would be pure overhead.
-const COMPACT_MIN_LEN: usize = 64;
-
-/// Bucketed calendar queue of predicted completions on the virtual clock.
-#[derive(Debug)]
-pub struct EventQueue {
-    /// Cyclic bucket array; `buckets.len()` is a power of two.
-    buckets: Vec<Vec<Entry>>,
-    /// `buckets.len() - 1`, for masking absolute bucket numbers.
-    mask: usize,
-    /// Virtual-time width of one bucket.
-    width: f64,
-    /// Absolute (unwrapped) bucket number the pop cursor is parked on:
-    /// every stored entry has `floor(time / width) >= cursor_abs`.
-    cursor_abs: u64,
-    /// Total stored entries, including stale ones.
-    len: usize,
-    /// Entries known stale via [`EventQueue::note_stale`].
-    stale: usize,
-    /// Pops since the last width retune, for the clustering heuristic in
-    /// [`EventQueue::pop_min`].
-    pops_since_retune: usize,
-    seq: u64,
-    /// Reused staging area for rebuilds/compactions, so re-tuning on the
-    /// hot path does not allocate.
-    scratch: Vec<Entry>,
+impl Ord for Entry {
+    /// Reversed on `(time, seq)`, so the max-heap's top is the earliest
+    /// entry. Times are finite (asserted on push).
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .time
+            .partial_cmp(&self.time)
+            .unwrap_or(Ordering::Equal)
+            .then(other.seq.cmp(&self.seq))
+    }
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new()
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Entry {}
+
+/// Minimum entries before staleness triggers compaction: tiny queues are
+/// cheap to pop through and compacting them would be pure overhead.
+const COMPACT_MIN_LEN: usize = 64;
+
+/// Min-heap of predicted completions on the virtual clock.
+#[derive(Debug, Default)]
+pub struct EventQueue {
+    heap: BinaryHeap<Entry>,
+    /// Entries known stale via [`EventQueue::note_stale`].
+    stale: usize,
+    seq: u64,
 }
 
 impl EventQueue {
     /// An empty queue.
     pub fn new() -> Self {
-        Self {
-            buckets: vec![Vec::new(); 16],
-            mask: 15,
-            width: 1.0,
-            cursor_abs: 0,
-            len: 0,
-            stale: 0,
-            pops_since_retune: 0,
-            seq: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Drain every bucket into the scratch buffer (keeping each bucket's
-    /// capacity for reuse) and return the staged entries.
-    fn stage_entries(&mut self) {
-        self.scratch.clear();
-        for bucket in &mut self.buckets {
-            self.scratch.append(bucket);
-        }
-    }
-
-    fn abs_bucket(&self, time: f64) -> u64 {
-        // Entries never predate the cursor (predictions are at `now + d`,
-        // d >= 0); clamp defensively so an ulp below the cursor's window
-        // cannot strand an entry in an already-passed bucket.
-        ((time / self.width) as u64).max(self.cursor_abs)
+        Self::default()
     }
 
     /// Schedule `completion` at virtual `time` (must be finite).
     pub fn push(&mut self, time: f64, completion: Completion) {
         debug_assert!(time.is_finite(), "event at non-finite time {time}");
         self.seq += 1;
-        let entry = Entry {
+        self.heap.push(Entry {
             time,
             seq: self.seq,
             completion,
-        };
-        let slot = (self.abs_bucket(time) & self.mask as u64) as usize;
-        self.buckets[slot].push(entry);
-        self.len += 1;
-        if self.len > 4 * self.buckets.len() {
-            self.rebuild(self.buckets.len() * 2);
-        }
+        });
     }
 
     /// The engine superseded a live prediction (bumped a flow's
@@ -171,154 +134,40 @@ impl EventQueue {
         &mut self,
         mut current_gen: impl FnMut(usize, FlowId) -> u64,
     ) -> Option<(f64, Completion)> {
-        if self.len >= COMPACT_MIN_LEN && self.stale * 2 > self.len {
+        if self.heap.len() >= COMPACT_MIN_LEN && self.stale * 2 > self.heap.len() {
             self.compact(&mut current_gen);
         }
-        loop {
-            let entry = self.pop_min()?;
+        while let Some(entry) = self.heap.pop() {
             if current_gen(entry.completion.rank, entry.completion.flow) == entry.completion.gen {
                 return Some((entry.time, entry.completion));
             }
             self.stale = self.stale.saturating_sub(1);
         }
+        None
     }
 
-    /// Remove and return the globally earliest entry by `(time, seq)`.
-    fn pop_min(&mut self) -> Option<Entry> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            let slot = (self.cursor_abs & self.mask as u64) as usize;
-            // Clustering guard: when one bucket holds most of the queue
-            // (e.g. the initial width is far wider than the event
-            // spread), every pop degenerates to a full scan. Re-tune the
-            // width to the live spread, amortized to O(1) per pop by
-            // requiring `len` pops between retunes.
-            if self.len >= 8
-                && self.buckets[slot].len() * 2 > self.len
-                && self.pops_since_retune >= self.len
-            {
-                self.pops_since_retune = 0;
-                self.rebuild(self.buckets.len());
-                continue;
-            }
-            self.pops_since_retune += 1;
-            let window_end = (self.cursor_abs as f64 + 1.0) * self.width;
-            // The earliest entry overall, if in this window, is in this
-            // slot: same-year entries of later slots and later-year
-            // entries of this slot are all >= window_end.
-            let mut best: Option<(usize, f64, u64)> = None;
-            for (i, e) in self.buckets[slot].iter().enumerate() {
-                if e.time < window_end && best.is_none_or(|(_, t, s)| (e.time, e.seq) < (t, s)) {
-                    best = Some((i, e.time, e.seq));
-                }
-            }
-            if let Some((i, _, _)) = best {
-                let entry = self.buckets[slot].swap_remove(i);
-                self.len -= 1;
-                if self.len < self.buckets.len() / 8 && self.buckets.len() > 16 {
-                    self.rebuild(self.buckets.len() / 2);
-                }
-                return Some(entry);
-            }
-            self.cursor_abs += 1;
-            if self.cursor_abs & self.mask as u64 == 0 {
-                // Wrapped a whole year without a hit: jump straight to
-                // the earliest remaining entry instead of spinning
-                // through empty buckets (entries can sit years ahead).
-                let min_t = self
-                    .buckets
-                    .iter()
-                    .flatten()
-                    .map(|e| e.time)
-                    .fold(f64::INFINITY, f64::min);
-                self.cursor_abs = (min_t / self.width) as u64;
-            }
-        }
-    }
-
-    /// Drop every stale entry and re-tune the bucket array to the live
-    /// population.
+    /// Drop every stale entry.
     pub fn compact(&mut self, mut current_gen: impl FnMut(usize, FlowId) -> u64) {
-        self.stage_entries();
-        self.scratch
+        self.heap
             .retain(|e| current_gen(e.completion.rank, e.completion.flow) == e.completion.gen);
-        self.len = self.scratch.len();
         self.stale = 0;
-        self.redistribute();
-    }
-
-    /// Re-hash every entry into `n` buckets with a width matched to the
-    /// current entry spread.
-    fn rebuild(&mut self, n: usize) {
-        self.stage_entries();
-        debug_assert_eq!(self.scratch.len(), self.len);
-        let n = n.max(16);
-        if n != self.buckets.len() {
-            self.buckets.resize(n, Vec::new());
-        }
-        self.mask = self.buckets.len() - 1;
-        self.redistribute();
-    }
-
-    /// Re-tune width/cursor to the staged entries and hash them back into
-    /// the bucket array. Empties the scratch buffer.
-    fn redistribute(&mut self) {
-        let entries = std::mem::take(&mut self.scratch);
-        self.retune(&entries);
-        for &e in &entries {
-            let slot = (self.abs_bucket(e.time) & self.mask as u64) as usize;
-            self.buckets[slot].push(e);
-        }
-        self.scratch = entries;
-        self.scratch.clear();
-    }
-
-    /// Pick a bucket width so the live entries spread over about one
-    /// "year" of buckets, then re-park the cursor on the earliest one.
-    fn retune(&mut self, entries: &[Entry]) {
-        debug_assert_eq!(self.buckets.len(), self.mask + 1);
-        let mut min_t = f64::INFINITY;
-        let mut max_t = f64::NEG_INFINITY;
-        for e in entries {
-            min_t = min_t.min(e.time);
-            max_t = max_t.max(e.time);
-        }
-        let cursor_time = (self.cursor_abs as f64) * self.width;
-        if entries.is_empty() {
-            self.width = 1.0;
-            self.cursor_abs = 0;
-            return;
-        }
-        let span = (max_t - min_t).max(f64::MIN_POSITIVE);
-        // Two floors on the width: an absolute one so a degenerate span
-        // cannot zero it, and a relative one so `time / width` stays far
-        // inside u64 range even when tightly-clustered entries sit at a
-        // large absolute time (width >= max_t * 1e-15 bounds bucket
-        // numbers near 1e15).
-        self.width = (span / self.buckets.len() as f64)
-            .max(max_t.abs() * 1e-15)
-            .max(1e-12);
-        // Keep the cursor's *time* position: entries at or after the old
-        // cursor time must remain poppable.
-        self.cursor_abs = (cursor_time.min(min_t) / self.width) as u64;
     }
 
     /// Number of entries, including stale ones awaiting lazy removal.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether the queue holds no entries at all.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn c(rank: usize, gen: u64) -> Completion {
         Completion {
@@ -472,5 +321,78 @@ mod tests {
             .collect();
         times.sort_by(f64::total_cmp);
         assert_eq!(times, vec![96.0, 97.0, 98.0, 99.0]);
+    }
+
+    /// Ops per generated workload: push, bump a generation, pop, compact.
+    fn arb_ops() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
+        // (kind, flow slot, time index); kinds 0-19 push, 20-31 bump,
+        // 32-38 pop, 39 compact: long enough, and pop-light enough, that
+        // stale entries pile up past the compaction threshold.
+        proptest::collection::vec((0u8..40, 0usize..8, 0usize..4), 0usize..1500)
+    }
+
+    proptest! {
+        /// Every pop is the minimum by `(time, push order)` among the live
+        /// entries of a plain `Vec` model, and the stored population never
+        /// outgrows the compaction bound. Times come from a four-value set
+        /// (0.0 included) so ties are common.
+        #[test]
+        fn pops_match_a_sorted_vec_model(ops in arb_ops()) {
+            const TIMES: [f64; 4] = [0.0, 0.25, 1.0, 3.0];
+            // 4 ranks x 2 flows; slot = 2 * rank + flow.
+            let slot_of = |rank: usize, flow: FlowId| 2 * rank + (flow == FlowId::Stream) as usize;
+            let mut gens = [0u64; 8];
+            let mut h = EventQueue::new();
+            // Live entries only: (time, push order, slot, gen).
+            let mut model: Vec<(f64, usize, usize, u64)> = Vec::new();
+            for (pushed, &(kind, slot, ti)) in ops.iter().enumerate() {
+                match kind {
+                    0..=19 => {
+                        let flow = if slot % 2 == 0 { FlowId::Main } else { FlowId::Stream };
+                        h.push(TIMES[ti], Completion { rank: slot / 2, flow, gen: gens[slot] });
+                        model.push((TIMES[ti], pushed, slot, gens[slot]));
+                    }
+                    20..=31 => {
+                        // Supersede the slot's queued predictions, reporting
+                        // each one as the engine does.
+                        let before = model.len();
+                        model.retain(|e| e.2 != slot);
+                        for _ in model.len()..before {
+                            h.note_stale();
+                        }
+                        gens[slot] += 1;
+                    }
+                    32..=38 => {
+                        let popped = h.pop_valid(|rank, flow| gens[slot_of(rank, flow)]);
+                        let want = model
+                            .iter()
+                            .enumerate()
+                            .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                            .map(|(i, _)| i);
+                        match (popped, want) {
+                            (None, None) => {}
+                            (Some((t, c)), Some(i)) => {
+                                let (wt, _, wslot, wgen) = model.remove(i);
+                                let got = (t, slot_of(c.rank, c.flow), c.gen);
+                                prop_assert_eq!(got, (wt, wslot, wgen));
+                            }
+                            (got, want) => {
+                                prop_assert!(false, "popped {got:?}, model wanted {want:?}");
+                            }
+                        }
+                        // Stale entries outnumber live ones only below the
+                        // compaction threshold (one pop may leave one over).
+                        prop_assert!(
+                            h.len() < COMPACT_MIN_LEN || h.len() <= 2 * model.len() + 1,
+                            "{} stored for {} live", h.len(), model.len()
+                        );
+                    }
+                    _ => {
+                        h.compact(|rank, flow| gens[slot_of(rank, flow)]);
+                        prop_assert_eq!(h.len(), model.len());
+                    }
+                }
+            }
+        }
     }
 }

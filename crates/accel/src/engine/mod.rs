@@ -12,8 +12,8 @@
 //! The event loop lives in the private `sim` submodule: between events
 //! every active flow drains at a constant rate, and each event is a
 //! predicted flow completion (lazily invalidated when resource
-//! membership changes, with bounded staleness — the calendar queue in
-//! [`event`] compacts itself when stale entries outnumber live ones).
+//! membership changes, with bounded staleness — the heap in [`event`]
+//! compacts itself when stale entries outnumber live ones).
 //! Traces are compiled to a flat per-node segment arena with interned
 //! labels before the loop starts — split into calibration-invariant
 //! recorded quantities and a per-calibration cost table, so one compile
@@ -34,9 +34,7 @@ pub mod policy;
 pub mod resources;
 pub(crate) mod sim;
 
-pub use cluster::{
-    cluster_collective_bytes, simulate_cluster, simulate_cluster_traced, ClusterResult,
-};
+pub use cluster::{simulate_cluster, simulate_cluster_traced, ClusterResult};
 pub use error::EngineError;
 pub use policy::{GpuSchedContext, KernelReq, SchedulePolicy, SchedulePolicyKind};
 pub use resources::{Nic, PcieLink, SmPool};

@@ -770,18 +770,6 @@ impl<'w> CompiledSweep<'w> {
     }
 }
 
-/// Resumable sweep over a fresh compile — the one-shot convenience form
-/// of [`CompiledSweep::run_resumable`].
-pub fn sweep_resumable(
-    workload: &RecordedWorkload,
-    spec: &SweepSpec,
-    completed: &[SweepPoint],
-    chunk: usize,
-    on_checkpoint: &mut dyn FnMut(&[SweepPoint]),
-) -> Result<SweepResult, SweepResumeError> {
-    CompiledSweep::compile(workload)?.run_resumable(spec, completed, chunk, on_checkpoint)
-}
-
 /// The static pre-flight context threaded through [`GridCtx::eval`] by
 /// [`sweep_preflight`].
 struct Preflight<'a> {
@@ -1372,7 +1360,10 @@ mod tests {
         // Swapped axis order: point 0 claims gpus=2 where the grid has 1.
         let mut wrong = res.points.clone();
         wrong.reverse();
-        let err = sweep_resumable(&w, &spec, &wrong, 8, &mut |_| {}).unwrap_err();
+        let err = CompiledSweep::compile(&w)
+            .unwrap()
+            .run_resumable(&spec, &wrong, 8, &mut |_| {})
+            .unwrap_err();
         assert!(
             matches!(err, SweepResumeError::CursorMismatch { index: 0, .. }),
             "{err}"
@@ -1380,7 +1371,10 @@ mod tests {
         // Oversized cursor.
         let mut long = res.points.clone();
         long.extend(res.points.iter().cloned());
-        let err = sweep_resumable(&w, &spec, &long, 8, &mut |_| {}).unwrap_err();
+        let err = CompiledSweep::compile(&w)
+            .unwrap()
+            .run_resumable(&spec, &long, 8, &mut |_| {})
+            .unwrap_err();
         assert!(
             matches!(err, SweepResumeError::CursorBeyondGrid { .. }),
             "{err}"

@@ -90,45 +90,11 @@ impl LabelId {
     }
 }
 
-/// FNV-1a: labels are short ASCII identifiers interned on the replay's
-/// setup path, where the default SipHash is measurably slower without
-/// buying anything (the table is rebuilt per replay, so there is no
-/// adversarial-key exposure).
-#[derive(Debug, Clone, Copy, Default)]
-struct FnvBuild;
-
-#[derive(Debug)]
-struct Fnv(u64);
-
-impl std::hash::BuildHasher for FnvBuild {
-    type Hasher = Fnv;
-    fn build_hasher(&self) -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for Fnv {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        // Chunked FNV-1a over little-endian u64 words (zero-padded tail):
-        // nonstandard but internally consistent, and 8x fewer multiplies
-        // on the setup hot path than the byte-at-a-time original.
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.0 ^= u64::from_le_bytes(word);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
 /// The string table backing [`LabelId`]s.
 #[derive(Debug, Clone, Default)]
 pub struct LabelTable {
     names: Vec<String>,
-    index: std::collections::HashMap<String, u32, FnvBuild>,
+    index: std::collections::HashMap<String, u32>,
 }
 
 impl LabelTable {
