@@ -188,22 +188,6 @@ echo "$sweep_out" | grep -E "^sweep: 6 point\(s\), " >/dev/null
 echo "$sweep_out" | grep -E "^pareto front: [1-9][0-9]* point\(s\)" >/dev/null
 echo "$sweep_out" | grep "^best under deadline " >/dev/null
 
-echo "== sweep --preflight bit-identity"
-# The statically-gated sweep must serialize byte-identically to the
-# unpruned sweep over the same grid (the analyzer predicts the exact
-# errors replays would produce).
-cargo run --release -p repro-bench --bin whatif -- sweep \
-  --record "$workload" --gpus 1..4 --calib identity,h100 \
-  --out target/ci_sweep_full.jsonl >/dev/null
-cargo run --release -p repro-bench --bin whatif -- sweep \
-  --record "$workload" --gpus 1..4 --calib identity,h100 --preflight \
-  --out target/ci_sweep_preflight.jsonl | grep " rejected by preflight" >/dev/null
-diff target/ci_sweep_full.jsonl target/ci_sweep_preflight.jsonl || {
-  echo "preflight sweep output diverged from the unpruned sweep" >&2
-  exit 1
-}
-rm -f target/ci_sweep_full.jsonl target/ci_sweep_preflight.jsonl
-
 echo "== simd serve smoke (example job stream, admission accept/reject)"
 # The worked example under scenarios/ must run end to end: every job
 # admitted and completed. A mangled scenario (procs that do not divide
@@ -263,7 +247,18 @@ diff target/ci_simd_a.jsonl target/ci_simd_b.jsonl || {
   echo "resumed sweep output diverged from the uninterrupted run" >&2
   exit 1
 }
-rm -rf "$ckdir" target/ci_simd_a.jsonl target/ci_simd_b.jsonl
+
+echo "== whatif sweep CLI vs simd sweep bit-identity"
+# The CLI's one-chunk CompiledSweep::run and serve's chunked
+# run_resumable must write the same bytes for the same grid.
+cargo run --release -p repro-bench --bin whatif -- sweep \
+  --record "$workload" --gpus 1..6 --calib identity,a100,h100 \
+  --out target/ci_sweep_cli.jsonl >/dev/null
+cmp target/ci_sweep_cli.jsonl target/ci_simd_a.jsonl || {
+  echo "whatif sweep output diverged from the simd sweep" >&2
+  exit 1
+}
+rm -rf "$ckdir" target/ci_simd_a.jsonl target/ci_simd_b.jsonl target/ci_sweep_cli.jsonl
 rm -f "$workload"
 
 echo "CI OK"

@@ -24,8 +24,8 @@
 //! proven to fail with the very error text carried in the diagnostic
 //! `message`, and a clean pass proves the corresponding runtime error
 //! unreachable. Warnings are best-effort. That exactness is what lets
-//! the what-if sweep's `--preflight` mode prune statically-rejected
-//! grid points while staying bit-identical to the unpruned sweep.
+//! every what-if sweep refuse statically-rejected grid points without a
+//! replay while writing the same output a replay of each would.
 //!
 //! Entry points: [`check_workload`] lints a recording under its own
 //! embedded calibration and layout, [`check_workload_under`] swaps in

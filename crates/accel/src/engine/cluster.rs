@@ -55,30 +55,31 @@ impl ClusterResult {
     }
 }
 
-/// Replay `node_traces` (one `Vec<RankTrace>` per node, every node using
-/// the same [`NodeConfig`]) through the discrete-event engine.
+/// Replay `node_traces` (one slice of rank traces per node, every node
+/// using the same [`NodeConfig`]) through the discrete-event engine. A
+/// single-node replay is one slice.
 ///
 /// Collective segments in the traces synchronise across *all* ranks of
 /// all nodes; everything else contends only for its own node's GPUs,
 /// PCIe links and NIC. Returns a typed [`EngineError`] — an OOM (with a
 /// global GPU index) if any GPU's co-located peak footprints exceed its
 /// memory, a `NonFiniteCharge` if a recorded duration is NaN/infinite.
-pub fn simulate_cluster(
-    node_traces: &[Vec<RankTrace>],
+pub fn simulate_cluster<T: AsRef<[RankTrace]>>(
+    node_traces: &[T],
     cfg: &NodeConfig,
 ) -> Result<ClusterResult, EngineError> {
-    let slices: Vec<&[RankTrace]> = node_traces.iter().map(|v| v.as_slice()).collect();
+    let slices: Vec<&[RankTrace]> = node_traces.iter().map(AsRef::as_ref).collect();
     let out = simulate(&slices, cfg, false)?;
     Ok(ClusterResult::from_output(out, node_traces.len()))
 }
 
 /// Like [`simulate_cluster`], but also records the merged wall-clock
 /// timeline (rank spans and GPU occupancy samples use global indices).
-pub fn simulate_cluster_traced(
-    node_traces: &[Vec<RankTrace>],
+pub fn simulate_cluster_traced<T: AsRef<[RankTrace]>>(
+    node_traces: &[T],
     cfg: &NodeConfig,
 ) -> Result<(ClusterResult, NodeTimeline), EngineError> {
-    let slices: Vec<&[RankTrace]> = node_traces.iter().map(|v| v.as_slice()).collect();
+    let slices: Vec<&[RankTrace]> = node_traces.iter().map(AsRef::as_ref).collect();
     let mut out = simulate(&slices, cfg, true)?;
     let timeline = std::mem::take(&mut out.timeline);
     Ok((ClusterResult::from_output(out, node_traces.len()), timeline))
@@ -87,7 +88,7 @@ pub fn simulate_cluster_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{simulate_node, TimelineKind};
+    use crate::node::TimelineKind;
     use crate::profile::KernelProfile;
     use crate::trace::Segment;
 
@@ -114,7 +115,7 @@ mod tests {
     }
 
     #[test]
-    fn collective_free_cluster_matches_simulate_node_per_node() {
+    fn collective_free_cluster_matches_a_single_node_per_node() {
         let cfg = NodeConfig::default();
         let k = KernelProfile::uniform("k", 1e9, 100.0, 8.0);
         let mk = || {
@@ -126,7 +127,7 @@ mod tests {
                 },
             ])
         };
-        let node = simulate_node(&[mk(), mk()], &cfg).unwrap();
+        let node = simulate_cluster(&[&[mk(), mk()]], &cfg).unwrap();
         let cluster = simulate_cluster(&[vec![mk(), mk()], vec![mk(), mk()]], &cfg).unwrap();
         // Independent identical nodes: same wall, per-node resources
         // concatenated node-major.

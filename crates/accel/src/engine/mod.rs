@@ -3,11 +3,10 @@
 //! This module is the timing core of the simulator: an event heap on one
 //! virtual clock ([`event`]), typed shared resources — per-GPU SM pools,
 //! per-GPU PCIe links, per-node NICs ([`resources`]) — and pluggable
-//! kernel arbitration ([`policy`]). [`crate::simulate_node`] and
-//! [`crate::simulate_node_traced`] are thin single-node wrappers over it;
-//! [`simulate_cluster`] replays many nodes against the same clock, with
-//! inter-node collectives as network events so congestion emerges from
-//! NIC occupancy rather than from a closed-form assumption.
+//! kernel arbitration ([`policy`]). [`simulate_cluster`] replays one
+//! node or many against the same clock, with inter-node collectives as
+//! network events so congestion emerges from NIC occupancy rather than
+//! from a closed-form assumption.
 //!
 //! The event loop lives in the private `sim` submodule: between events
 //! every active flow drains at a constant rate, and each event is a

@@ -24,8 +24,8 @@
 //! streams, each node NIC carries inter-node collectives, and host
 //! segments run concurrently across ranks. Wall time, per-GPU busy time,
 //! queueing, network congestion and out-of-memory conditions all *emerge*
-//! from the replay. [`simulate_node`] is the single-node surface over the
-//! engine; [`engine::simulate_cluster`] replays many nodes at once.
+//! from the replay. [`engine::simulate_cluster`] replays one node or many
+//! at once.
 //!
 //! Calibration constants live in [`calib`] and are documented against
 //! public A100/Milan specifications; see `DESIGN.md` § 5 for the honesty
@@ -72,13 +72,12 @@ pub use engine::{
     SchedulePolicyKind,
 };
 pub use node::{
-    simulate_node, simulate_node_traced, GpuSample, NodeConfig, NodeOom, NodeResult, NodeTimeline,
-    TimelineEvent, TimelineKind,
+    simulate_node_traced, GpuSample, NodeConfig, NodeOom, NodeTimeline, TimelineEvent, TimelineKind,
 };
 pub use profile::KernelProfile;
 pub use sweep::{
-    sweep, sweep_digest, sweep_preflight, workload_digest, CompiledSweep, SweepCalib,
-    SweepCheckpoint, SweepPoint, SweepResult, SweepResumeError, SweepSpec,
+    sweep_digest, workload_digest, CompiledSweep, SweepCalib, SweepCheckpoint, SweepPoint,
+    SweepResult, SweepResumeError, SweepSpec,
 };
 pub use trace::{RankTrace, Segment, SpanEvent, SpanKind, TransferDir};
 pub use whatif::{RecordMeta, RecordedWorkload, Replayed, UnknownPreset, WhatifCalib, WhatifError};

@@ -3,9 +3,11 @@
 //! Fig. 4 of the paper varies the number of processes on one node while
 //! holding total resources fixed; its shape (oversubscription pays until
 //! ~2 processes per GPU, then per-process overheads win) is an interaction
-//! between per-rank timelines and shared devices. This module is the
-//! single-node surface over the discrete-event engine in
-//! [`crate::engine`], which resolves that interaction:
+//! between per-rank timelines and shared devices. This module holds the
+//! node configuration, wall-clock timeline and OOM types of a replay
+//! through the discrete-event engine in [`crate::engine`]; a single-node
+//! replay is [`crate::engine::simulate_cluster`] over one node. The
+//! engine resolves that interaction:
 //!
 //! * **Host segments** of different ranks run concurrently (cores are
 //!   partitioned among ranks; segments were sized for their thread count).
@@ -18,12 +20,10 @@
 //!   transfer stream that overlaps data movement with host work, and
 //!   kernels synchronise on it before launching.
 //! * **Collective segments** barrier across all ranks and then occupy the
-//!   node NIC (see [`crate::engine::simulate_cluster`] for the multi-node
-//!   entry point).
+//!   node NIC.
 
 use crate::calib::NodeCalib;
-use crate::engine::sim::simulate;
-use crate::engine::{EngineError, SchedulePolicyKind};
+use crate::engine::{simulate_cluster_traced, ClusterResult, EngineError, SchedulePolicyKind};
 use crate::trace::RankTrace;
 
 /// Node configuration for a replay.
@@ -53,19 +53,6 @@ impl Default for NodeConfig {
             overlap_transfers: false,
         }
     }
-}
-
-/// Result of a node replay.
-#[derive(Debug, Clone)]
-pub struct NodeResult {
-    /// Wall-clock seconds until the last rank finished.
-    pub wall_seconds: f64,
-    /// Per-rank completion times.
-    pub rank_seconds: Vec<f64>,
-    /// Per-GPU busy seconds (device actually computing).
-    pub gpu_busy: Vec<f64>,
-    /// Per-GPU seconds lost to context switches (zero under MPS).
-    pub switch_seconds: Vec<f64>,
 }
 
 /// Kind of a wall-clock [`TimelineEvent`].
@@ -184,39 +171,19 @@ impl std::fmt::Display for NodeOom {
 
 impl std::error::Error for NodeOom {}
 
-/// Replay `traces` (one per rank) on a node through the discrete-event
-/// engine. Rank `r` uses GPU `r % gpus`. Returns the emergent wall time
-/// or a typed [`EngineError`] — an OOM if the combined peak footprints
-/// of the ranks sharing a GPU exceed its memory, a `NonFiniteCharge` if
-/// a recorded duration is NaN or infinite.
-pub fn simulate_node(traces: &[RankTrace], cfg: &NodeConfig) -> Result<NodeResult, EngineError> {
-    let out = simulate(&[traces], cfg, false)?;
-    Ok(node_result(out))
-}
-
-/// [`simulate_node`], additionally recording the contention-resolved
-/// wall-clock timeline of every rank and per-GPU occupancy samples.
+/// One-node [`simulate_cluster_traced`]: replay `traces` (one per rank)
+/// on a single node and record its wall-clock timeline.
 pub fn simulate_node_traced(
     traces: &[RankTrace],
     cfg: &NodeConfig,
-) -> Result<(NodeResult, NodeTimeline), EngineError> {
-    let mut out = simulate(&[traces], cfg, true)?;
-    let timeline = std::mem::take(&mut out.timeline);
-    Ok((node_result(out), timeline))
-}
-
-fn node_result(out: crate::engine::sim::SimOutput) -> NodeResult {
-    NodeResult {
-        wall_seconds: out.wall_seconds(),
-        rank_seconds: out.rank_seconds,
-        gpu_busy: out.gpu_busy,
-        switch_seconds: out.switch_seconds,
-    }
+) -> Result<(ClusterResult, NodeTimeline), EngineError> {
+    simulate_cluster_traced(&[traces], cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::simulate_cluster;
     use crate::profile::KernelProfile;
     use crate::trace::{Segment, TransferDir};
 
@@ -259,7 +226,7 @@ mod tests {
             ],
             0,
         );
-        let res = simulate_node(&[t], &cfg).unwrap();
+        let res = simulate_cluster(&[&[t]], &cfg).unwrap();
         let expected = 1.0 + cfg.calib.gpu.launch_latency + solo + 0.5;
         assert!(
             (res.wall_seconds - expected).abs() < 1e-9,
@@ -273,7 +240,7 @@ mod tests {
     fn host_segments_run_concurrently_across_ranks() {
         let cfg = NodeConfig::default();
         let traces: Vec<_> = (0..8).map(|_| trace_with(vec![host(2.0)], 0)).collect();
-        let res = simulate_node(&traces, &cfg).unwrap();
+        let res = simulate_cluster(&[&traces], &cfg).unwrap();
         assert!((res.wall_seconds - 2.0).abs() < 1e-9);
     }
 
@@ -294,7 +261,7 @@ mod tests {
                 0,
             )
         };
-        let res = simulate_node(&[t(), t()], &cfg).unwrap();
+        let res = simulate_cluster(&[&[t(), t()]], &cfg).unwrap();
         assert!(
             (res.wall_seconds - 2.0 * solo).abs() / (2.0 * solo) < 0.01,
             "{} vs {}",
@@ -321,7 +288,7 @@ mod tests {
                 0,
             )
         };
-        let res = simulate_node(&[t(), t()], &cfg).unwrap();
+        let res = simulate_cluster(&[&[t(), t()]], &cfg).unwrap();
         let lead = cfg.calib.gpu.launch_latency;
         assert!(
             res.wall_seconds < 1.2 * (solo + lead),
@@ -348,7 +315,7 @@ mod tests {
                 0,
             )
         };
-        let res = simulate_node(&[t(), t()], &cfg).unwrap();
+        let res = simulate_cluster(&[&[t(), t()]], &cfg).unwrap();
         // Time-sliced contexts: each rank gets half its device, so the
         // wall is ~2x solo even though the kernels underfill the GPU —
         // compare with `underfilled_kernels_overlap_under_mps`.
@@ -358,7 +325,7 @@ mod tests {
             res.wall_seconds,
             2.0 * solo
         );
-        let mps = simulate_node(&[t(), t()], &cfg_no_crowding_one_gpu_mps()).unwrap();
+        let mps = simulate_cluster(&[&[t(), t()]], &cfg_no_crowding_one_gpu_mps()).unwrap();
         assert!(res.wall_seconds > 1.5 * mps.wall_seconds);
     }
 
@@ -387,8 +354,8 @@ mod tests {
                 0,
             )
         };
-        let one = simulate_node(&[t()], &cfg).unwrap().wall_seconds;
-        let four = simulate_node(&[t(), t(), t(), t()], &cfg)
+        let one = simulate_cluster(&[&[t()]], &cfg).unwrap().wall_seconds;
+        let four = simulate_cluster(&[&[t(), t(), t(), t()]], &cfg)
             .unwrap()
             .wall_seconds;
         // Four clients: crowding 1 + 0.5*3 = 2.5x on otherwise-overlapping
@@ -416,8 +383,10 @@ mod tests {
             }
             trace_with(segs, 0)
         };
-        let one = simulate_node(&[mk(4)], &cfg).unwrap().wall_seconds;
-        let two = simulate_node(&[mk(4), mk(4)], &cfg).unwrap().wall_seconds;
+        let one = simulate_cluster(&[&[mk(4)]], &cfg).unwrap().wall_seconds;
+        let two = simulate_cluster(&[&[mk(4), mk(4)]], &cfg)
+            .unwrap()
+            .wall_seconds;
         // Perfect interleave would give two ≈ one; demand 25% saving vs 2x.
         assert!(two < 1.5 * one, "two={two} one={one}");
     }
@@ -439,8 +408,8 @@ mod tests {
                 0,
             )
         };
-        let single = simulate_node(&[t()], &cfg).unwrap().wall_seconds;
-        let double = simulate_node(&[t(), t()], &cfg).unwrap().wall_seconds;
+        let single = simulate_cluster(&[&[t()]], &cfg).unwrap().wall_seconds;
+        let double = simulate_cluster(&[&[t(), t()]], &cfg).unwrap().wall_seconds;
         assert!((double / single - 2.0).abs() < 0.01, "{double} vs {single}");
     }
 
@@ -452,13 +421,13 @@ mod tests {
         };
         let cap = cfg.calib.gpu.mem_bytes;
         let t = trace_with(vec![host(1.0)], cap / 2 + 1);
-        let err = simulate_node(&[t.clone(), t], &cfg).unwrap_err();
+        let err = simulate_cluster(&[&[t.clone(), t]], &cfg).unwrap_err();
         let oom = err.as_oom().expect("memory overflow is a typed OOM");
         assert_eq!(oom.gpu, 0);
         assert!(oom.demanded > cap);
         // A single rank with the same footprint fits.
         let t = trace_with(vec![host(1.0)], cap / 2 + 1);
-        assert!(simulate_node(&[t], &cfg).is_ok());
+        assert!(simulate_cluster(&[&[t]], &cfg).is_ok());
     }
 
     #[test]
@@ -476,7 +445,7 @@ mod tests {
                 0,
             )
         };
-        let res = simulate_node(&[t(), t(), t(), t()], &cfg).unwrap();
+        let res = simulate_cluster(&[&[t(), t(), t(), t()]], &cfg).unwrap();
         assert!(res.wall_seconds < 1.1 * solo);
         for g in 0..4 {
             assert!(res.gpu_busy[g] > 0.0, "gpu {g} unused");
@@ -486,7 +455,7 @@ mod tests {
     #[test]
     fn empty_traces_finish_instantly() {
         let cfg = NodeConfig::default();
-        let res = simulate_node(&[RankTrace::default()], &cfg).unwrap();
+        let res = simulate_cluster(&[&[RankTrace::default()]], &cfg).unwrap();
         assert_eq!(res.wall_seconds, 0.0);
     }
 
@@ -637,7 +606,7 @@ mod tests {
                 0,
             )
         };
-        let sync = simulate_node(&[t()], &cfg).unwrap().wall_seconds;
+        let sync = simulate_cluster(&[&[t()]], &cfg).unwrap().wall_seconds;
         cfg.overlap_transfers = true;
         let (res, tl) = simulate_node_traced(&[t()], &cfg).unwrap();
         // Sequential: transfer + host. Overlapped: they run concurrently.
@@ -713,11 +682,11 @@ mod tests {
                 0,
             )
         };
-        let overlap = simulate_node(&[t(), t()], &cfg).unwrap().wall_seconds;
+        let overlap = simulate_cluster(&[&[t(), t()]], &cfg).unwrap().wall_seconds;
         assert!(overlap < 1.2 * solo, "mps overlap {overlap} vs {solo}");
         for kind in [SchedulePolicyKind::Fifo, SchedulePolicyKind::Priority] {
             cfg.schedule = kind;
-            let serial = simulate_node(&[t(), t()], &cfg).unwrap().wall_seconds;
+            let serial = simulate_cluster(&[&[t(), t()]], &cfg).unwrap().wall_seconds;
             assert!(serial > 1.9 * solo, "{kind}: {serial} vs 2x{solo}");
         }
     }
@@ -741,7 +710,7 @@ mod tests {
                 0,
             )
         };
-        let res = simulate_node(&[t(), t()], &cfg).unwrap();
+        let res = simulate_cluster(&[&[t(), t()]], &cfg).unwrap();
         assert!(res.wall_seconds < 1.2 * solo);
         assert_eq!(res.switch_seconds[0], 0.0);
     }

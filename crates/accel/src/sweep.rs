@@ -17,11 +17,17 @@
 //! 3. each grid point replays through the discrete-event engine with a
 //!    borrowed arena + cost table — no per-point allocation of either.
 //!
-//! On top of the hot path sit three optimizer features:
+//! On top of the hot path sit four optimizer features:
 //!
 //! * an **analytic lower bound** per point (critical path vs total work,
 //!   see `lower_bound`) that prunes points provably unable to meet a
 //!   `--deadline` without replaying them;
+//! * a **static pre-flight**: a point whose ranks do not fit in device
+//!   memory (the engine's own admission check) or whose workload
+//!   provably deadlocks (`analyze::predict_deadlock`, decided once per
+//!   compile) is refused without a replay. Both verdicts are exact, so
+//!   the point records the very error text its replay would produce;
+//!   [`SweepResult::rejected`] counts these points;
 //! * **Pareto-front extraction** over (makespan, cost), where cost is a
 //!   hardware price proxy ([`crate::calib::relative_node_price`]) times
 //!   node-hours;
@@ -39,18 +45,20 @@
 //! point is bit-identical to a standalone `replay` of that preset — the
 //! differential oracle extended to the batched path.
 //!
-//! For long-running callers (the serve layer) the module also exposes
-//! the sweep in resumable form: [`CompiledSweep`] separates the
-//! compile-once arena from grid evaluation so many jobs sharing a
-//! recording share one compile, and [`CompiledSweep::run_resumable`]
+//! A sweep is [`CompiledSweep::compile`] then [`CompiledSweep::run`]. The
+//! compile-once arena is separate from grid evaluation so many jobs
+//! sharing a recording (the serve layer) share one compile.
+//! [`CompiledSweep::run_resumable`] is the one evaluation loop: it
 //! evaluates the grid in chunks, surfacing the completed prefix after
 //! each chunk as a [`SweepCheckpoint`] cursor (lossless JSONL, guarded
-//! by a content digest). Because every grid point is a pure function of
-//! (workload, spec), a sweep resumed from any cursor produces a result
+//! by a content digest), and `run` is that loop with an empty cursor and
+//! one chunk. Because every grid point is a pure function of (workload,
+//! spec), a sweep resumed from any cursor produces a result
 //! byte-identical to an uninterrupted run.
 
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rayon::prelude::*;
 
@@ -117,18 +125,12 @@ impl SweepSpec {
     /// the calibration axis, the recorded GPU count and schedule on the
     /// other two, no deadline.
     pub fn default_grid(meta: &RecordMeta) -> Self {
-        let mut calibs = vec![SweepCalib {
-            name: "identity".into(),
-            node: meta.node_calib,
-            net: meta.net_calib,
-        }];
-        for p in presets() {
-            calibs.push(SweepCalib {
-                name: p.name.to_string(),
-                node: p.node.rescaled(meta.work_scale),
-                net: p.net,
-            });
-        }
+        let names = std::iter::once("identity").chain(presets().into_iter().map(|p| p.name));
+        let calibs = names
+            .map(|name| {
+                SweepCalib::resolve(name, meta).expect("built-in calibration names resolve")
+            })
+            .collect();
         Self {
             calibs,
             gpus: vec![meta.gpus],
@@ -166,13 +168,18 @@ impl SweepSpec {
     }
 }
 
+/// Most values one GPU-count axis may enumerate. Ranges are measured
+/// before they are expanded, so a grid string cannot drive an allocation
+/// proportional to a number in it.
+pub const MAX_GPU_AXIS: usize = 4096;
+
 /// Parse a GPU-count axis: comma-separated values and inclusive `lo..hi`
-/// ranges (`"2..4,8"` → `[2, 3, 4, 8]`).
+/// ranges (`"2..4,8"` → `[2, 3, 4, 8]`), at most [`MAX_GPU_AXIS`] values.
 pub fn parse_gpus(s: &str) -> Result<Vec<u32>, String> {
     let mut out = Vec::new();
     for part in s.split(',') {
         let part = part.trim();
-        if let Some((lo, hi)) = part.split_once("..") {
+        let (lo, hi) = if let Some((lo, hi)) = part.split_once("..") {
             let lo: u32 = lo
                 .trim()
                 .parse()
@@ -184,7 +191,7 @@ pub fn parse_gpus(s: &str) -> Result<Vec<u32>, String> {
             if lo < 1 || hi < lo {
                 return Err(format!("invalid gpu range '{part}' (need 1 <= lo <= hi)"));
             }
-            out.extend(lo..=hi);
+            (lo, hi)
         } else {
             let v: u32 = part
                 .parse()
@@ -192,8 +199,14 @@ pub fn parse_gpus(s: &str) -> Result<Vec<u32>, String> {
             if v < 1 {
                 return Err(format!("gpu count must be >= 1, got '{part}'"));
             }
-            out.push(v);
+            (v, v)
+        };
+        if out.len() + (hi - lo) as usize >= MAX_GPU_AXIS {
+            return Err(format!(
+                "gpu axis longer than {MAX_GPU_AXIS} values at '{part}'"
+            ));
         }
+        out.extend(lo..=hi);
     }
     if out.is_empty() {
         return Err("empty gpu list".into());
@@ -333,10 +346,11 @@ pub struct SweepResult {
     pub evaluated: usize,
     /// Points skipped by the lower-bound pruner.
     pub pruned: usize,
-    /// Points rejected statically by [`sweep_preflight`] without a
-    /// replay (always `0` for [`sweep`]). Deliberately *not* serialized:
-    /// a rejected point carries the same error text a replay would, so
-    /// the JSONL output stays bit-identical across the two modes.
+    /// Points this run refused without a replay: the memory admission
+    /// check failed, or the workload provably deadlocks. Deliberately
+    /// *not* serialized: a rejected point carries the same error text a
+    /// replay would, and points adopted from a resume cursor are not
+    /// counted, so the JSONL output does not depend on it.
     pub rejected: usize,
 }
 
@@ -631,72 +645,35 @@ pub(crate) fn lower_bound(
     bound
 }
 
-/// Run the sweep: compile the workload once, materialize one cost table
-/// per calibration, then evaluate every grid point against the shared
-/// arena. Only a malformed *recording* (non-finite recorded charge)
-/// fails the whole sweep; per-point failures (OOM, a preset deriving a
-/// non-finite cost) are captured on their [`SweepPoint`].
-pub fn sweep(workload: &RecordedWorkload, spec: &SweepSpec) -> Result<SweepResult, EngineError> {
-    sweep_impl(workload, spec, false)
-}
-
-/// [`sweep`] with the static pre-flight gate enabled: before replaying a
-/// point, the engine's own admission check (run on the compiled arena)
-/// and the analyzer's exact deadlock predictor
-/// (`analyze::predict_deadlock`) decide whether the engine would reject
-/// it. Statically-rejected points skip the replay entirely and record
-/// the *same* error text the replay would have produced, so the
-/// serialized output is bit-identical to [`sweep`]'s — only wall-clock
-/// time and [`SweepResult::rejected`] differ.
-pub fn sweep_preflight(
-    workload: &RecordedWorkload,
-    spec: &SweepSpec,
-) -> Result<SweepResult, EngineError> {
-    sweep_impl(workload, spec, true)
-}
-
-fn sweep_impl(
-    workload: &RecordedWorkload,
-    spec: &SweepSpec,
-    preflight: bool,
-) -> Result<SweepResult, EngineError> {
-    let cs = CompiledSweep::compile(workload)?;
-    let ctx = GridCtx::new(&cs, spec);
-    let rejected = std::sync::atomic::AtomicUsize::new(0);
-    // Pre-flight: the deadlock verdict is a property of the workload
-    // alone (it depends on neither calibration nor GPU count), so it is
-    // decided once here; the OOM verdict depends on (calibration, gpus)
-    // and is taken per point inside the fan-out from the engine's own
-    // admission check. Both verdicts are exact, so the recorded error
-    // text matches what a replay would have produced.
-    let pre = preflight.then(|| Preflight {
-        deadlock: crate::analyze::predict_deadlock(&workload.nodes).map(|e| e.to_string()),
-        rejected: &rejected,
-    });
-    let mut points = ctx.blank_points();
-    points
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(i, pt)| ctx.eval(i, pt, pre.as_ref()));
-    Ok(ctx.finish(points, rejected.into_inner()))
-}
-
 /// A workload compiled once into the engine's calibration-invariant
 /// arena, ready to evaluate many grids. This is the serve layer's
 /// coalescing unit: queued sweep jobs that share a recording share one
-/// `CompiledSweep`, so the segment-graph build and label interning are
-/// paid once per batch rather than once per job.
+/// `CompiledSweep`, so the segment-graph build, label interning and the
+/// static deadlock verdict are paid once per batch rather than once per
+/// job.
 pub struct CompiledSweep<'w> {
     workload: &'w RecordedWorkload,
     compiled: CompiledWorkload,
+    /// The analyzer's exact deadlock prediction
+    /// (`analyze::predict_deadlock`). It depends on neither calibration
+    /// nor GPU count, so it is decided once per arena.
+    deadlock: Option<EngineError>,
 }
 
 impl<'w> CompiledSweep<'w> {
-    /// Compile the recording's traces into the shared arena.
+    /// Compile the recording's traces into the shared arena. Only a
+    /// malformed *recording* (non-finite recorded charge) fails here;
+    /// per-point failures (OOM, a preset deriving a non-finite cost) are
+    /// captured on their [`SweepPoint`].
     pub fn compile(workload: &'w RecordedWorkload) -> Result<Self, EngineError> {
         let slices: Vec<&[RankTrace]> = workload.nodes.iter().map(|v| v.as_slice()).collect();
         let compiled = CompiledWorkload::compile(&slices)?;
-        Ok(Self { workload, compiled })
+        let deadlock = crate::analyze::predict_deadlock(&workload.nodes);
+        Ok(Self {
+            workload,
+            compiled,
+            deadlock,
+        })
     }
 
     /// Arena entries shared by every grid point.
@@ -704,28 +681,23 @@ impl<'w> CompiledSweep<'w> {
         self.compiled.segment_count()
     }
 
-    /// Evaluate a full grid against the shared arena — [`sweep`] minus
-    /// the compile.
+    /// Evaluate a full grid against the shared arena: one cost table per
+    /// calibration, then every grid point in one uninterrupted chunk of
+    /// [`CompiledSweep::run_resumable`].
     pub fn run(&self, spec: &SweepSpec) -> SweepResult {
-        let ctx = GridCtx::new(self, spec);
-        let mut points = ctx.blank_points();
-        points
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(i, pt)| ctx.eval(i, pt, None));
-        ctx.finish(points, 0)
+        self.run_resumable(spec, &[], spec.point_count(), &mut |_| {})
+            .expect("an empty cursor fits every grid")
     }
 
-    /// [`CompiledSweep::run`] in resumable chunks: adopt an
-    /// already-evaluated grid prefix (`completed`, typically a parsed
-    /// [`SweepCheckpoint`]), evaluate the rest `chunk` points at a time,
-    /// and hand the full completed prefix to `on_checkpoint` after every
-    /// chunk. Each grid point is a pure function of (workload, spec), so
-    /// the result — and its serialized bytes — are identical for every
-    /// (cursor, chunk size) combination, including the uninterrupted
-    /// `completed = []` run. The cursor's point *keys* are verified
-    /// against their grid slots; a mismatch is a typed error, never a
-    /// silently wrong sweep.
+    /// Evaluate the grid in resumable chunks: adopt an already-evaluated
+    /// grid prefix (`completed`, typically a parsed [`SweepCheckpoint`]),
+    /// evaluate the rest `chunk` points at a time, and hand the full
+    /// completed prefix to `on_checkpoint` after every chunk. Each grid
+    /// point is a pure function of (workload, spec), so the result — and
+    /// its serialized bytes — are identical for every (cursor, chunk
+    /// size) combination, including the uninterrupted `completed = []`
+    /// run. The cursor's point *keys* are verified against their grid
+    /// slots; a mismatch is a typed error, never a silently wrong sweep.
     pub fn run_resumable(
         &self,
         spec: &SweepSpec,
@@ -763,37 +735,28 @@ impl<'w> CompiledSweep<'w> {
             points[lo..hi]
                 .par_iter_mut()
                 .enumerate()
-                .for_each(|(j, pt)| ctx.eval(lo + j, pt, None));
+                .for_each(|(j, pt)| ctx.eval(lo + j, pt));
             on_checkpoint(&points[..hi]);
         }
-        Ok(ctx.finish(points, 0))
+        Ok(ctx.finish(points))
     }
 }
 
-/// The static pre-flight context threaded through [`GridCtx::eval`] by
-/// [`sweep_preflight`].
-struct Preflight<'a> {
-    deadlock: Option<String>,
-    rejected: &'a std::sync::atomic::AtomicUsize,
-}
-
-/// Everything one grid evaluation needs: the shared arena, one cost
-/// table per calibration, and the spec. Both the all-at-once fan-out and
-/// the chunked resumable path go through the same [`GridCtx::eval`] and
-/// [`GridCtx::finish`], which is what makes them bit-identical.
+/// Everything one grid evaluation needs: the compiled sweep, one cost
+/// table per calibration, and the spec.
 struct GridCtx<'a> {
+    cs: &'a CompiledSweep<'a>,
     spec: &'a SweepSpec,
-    meta: &'a RecordMeta,
-    compiled: &'a CompiledWorkload,
     /// One cost table per calibration, shared across the gpus × schedule
     /// sub-grid. A broken calibration poisons only its own points.
     tables: Vec<Result<Vec<CSeg>, EngineError>>,
     per_calib: usize,
-    nodes: usize,
+    /// Points refused without a replay (see [`SweepResult::rejected`]).
+    rejected: AtomicUsize,
 }
 
 impl<'a> GridCtx<'a> {
-    fn new(cs: &'a CompiledSweep<'_>, spec: &'a SweepSpec) -> Self {
+    fn new(cs: &'a CompiledSweep<'a>, spec: &'a SweepSpec) -> Self {
         let meta = &cs.workload.meta;
         let tables = spec
             .calibs
@@ -804,12 +767,11 @@ impl<'a> GridCtx<'a> {
             })
             .collect();
         GridCtx {
+            cs,
             spec,
-            meta,
-            compiled: &cs.compiled,
             tables,
             per_calib: spec.gpus.len() * spec.schedules.len(),
-            nodes: cs.workload.nodes.len().max(1),
+            rejected: AtomicUsize::new(0),
         }
     }
 
@@ -837,7 +799,8 @@ impl<'a> GridCtx<'a> {
         points
     }
 
-    fn eval(&self, i: usize, pt: &mut SweepPoint, pre: Option<&Preflight<'_>>) {
+    fn eval(&self, i: usize, pt: &mut SweepPoint) {
+        let (meta, compiled) = (&self.cs.workload.meta, &self.cs.compiled);
         let calib = &self.spec.calibs[i / self.per_calib];
         let costs = match &self.tables[i / self.per_calib] {
             Ok(t) => t,
@@ -846,51 +809,51 @@ impl<'a> GridCtx<'a> {
                 return;
             }
         };
-        pt.lower_bound = lower_bound(self.compiled, costs, pt.gpus, self.meta.overlap_transfers);
+        pt.lower_bound = lower_bound(compiled, costs, pt.gpus, meta.overlap_transfers);
         if let Some(deadline) = self.spec.deadline {
             if pt.lower_bound > deadline {
                 pt.pruned = true;
                 return;
             }
         }
-        if let Some(pre) = pre {
-            // Same order as the engine: the OOM admission check runs
-            // before the first event, a deadlock only after replaying
-            // to quiescence.
-            let verdict = match self.compiled.admit(pt.gpus, calib.node.gpu.mem_bytes) {
-                Err(oom) => Some(EngineError::Oom(oom).to_string()),
-                Ok(()) => pre.deadlock.clone(),
-            };
-            if let Some(e) = verdict {
-                pt.error = Some(e);
-                pre.rejected
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return;
-            }
-        }
         let cfg = NodeConfig {
             calib: calib.node,
             gpus: pt.gpus,
-            mps: self.meta.mps,
+            mps: meta.mps,
             schedule: pt.schedule,
-            overlap_transfers: self.meta.overlap_transfers,
+            overlap_transfers: meta.overlap_transfers,
         };
-        match simulate_compiled(self.compiled, costs, &cfg, false) {
+        let replayed = match &self.cs.deadlock {
+            // Same order as the engine: memory admission before the first
+            // event, a deadlock only after replaying to quiescence.
+            Some(deadlock) => Err(compiled
+                .admit(pt.gpus, calib.node.gpu.mem_bytes)
+                .map_or_else(EngineError::Oom, |()| deadlock.clone())),
+            // The engine's first step is that admission check, so an OOM
+            // point is refused here before any event too.
+            None => simulate_compiled(compiled, costs, &cfg, false),
+        };
+        match replayed {
             Ok(out) => {
                 let makespan = out.wall_seconds();
                 pt.makespan = Some(makespan);
                 pt.cost = Some(
-                    self.nodes as f64
+                    self.cs.workload.nodes.len().max(1) as f64
                         * pt.gpus as f64
                         * relative_node_price(&calib.node, &calib.net)
                         * makespan,
                 );
             }
-            Err(e) => pt.error = Some(e.to_string()),
+            Err(e) => {
+                if self.cs.deadlock.is_some() || e.as_oom().is_some() {
+                    self.rejected.fetch_add(1, Ordering::Relaxed);
+                }
+                pt.error = Some(e.to_string());
+            }
         }
     }
 
-    fn finish(&self, points: Vec<SweepPoint>, rejected: usize) -> SweepResult {
+    fn finish(&self, points: Vec<SweepPoint>) -> SweepResult {
         let pareto = pareto_front(&points);
         let best_under_deadline = self.spec.deadline.and_then(|d| {
             points
@@ -911,10 +874,10 @@ impl<'a> GridCtx<'a> {
             pareto,
             best_under_deadline,
             deadline: self.spec.deadline,
-            compiled_segments: self.compiled.segment_count(),
+            compiled_segments: self.cs.segment_count(),
             evaluated,
             pruned,
-            rejected,
+            rejected: self.rejected.load(Ordering::Relaxed),
         }
     }
 }
@@ -988,6 +951,10 @@ mod tests {
         }
     }
 
+    fn run_grid(w: &RecordedWorkload, spec: &SweepSpec) -> SweepResult {
+        CompiledSweep::compile(w).unwrap().run(spec)
+    }
+
     #[test]
     fn grid_order_is_calibration_major() {
         let w = sample_workload();
@@ -1001,7 +968,7 @@ mod tests {
             deadline: None,
         };
         assert_eq!(spec.point_count(), 8);
-        let res = sweep(&w, &spec).unwrap();
+        let res = run_grid(&w, &spec);
         let keys: Vec<(String, u32, String)> = res
             .points
             .iter()
@@ -1019,7 +986,7 @@ mod tests {
     fn identity_point_matches_replay_identity_bitwise() {
         let w = sample_workload();
         let spec = SweepSpec::default_grid(&w.meta);
-        let res = sweep(&w, &spec).unwrap();
+        let res = run_grid(&w, &spec);
         let id = res
             .points
             .iter()
@@ -1040,7 +1007,7 @@ mod tests {
                 schedules: vec![w.meta.schedule],
                 deadline: None,
             };
-            let res = sweep(&w, &spec).unwrap();
+            let res = run_grid(&w, &spec);
             let standalone = w
                 .replay(&calib.node, &calib.net, Some(2))
                 .unwrap()
@@ -1064,7 +1031,7 @@ mod tests {
             SchedulePolicyKind::TimeSliced,
             SchedulePolicyKind::Fifo,
         ];
-        let res = sweep(&w, &spec).unwrap();
+        let res = run_grid(&w, &spec);
         for p in &res.points {
             let m = p.makespan.expect("all points evaluate");
             assert!(
@@ -1085,7 +1052,7 @@ mod tests {
         // An unpruned reference run supplies the true makespans.
         let mut spec = SweepSpec::default_grid(&w.meta);
         spec.gpus = vec![1, 4];
-        let all = sweep(&w, &spec).unwrap();
+        let all = run_grid(&w, &spec);
         // Set the deadline just below the largest lower bound: the pruner
         // must fire on at least that point, and only on points whose true
         // makespan really misses the deadline.
@@ -1093,7 +1060,7 @@ mod tests {
         let max_lb = all.points.iter().map(|p| p.lower_bound).fold(0.0, f64::max);
         let deadline = max_lb * 0.99;
         spec.deadline = Some(deadline);
-        let res = sweep(&w, &spec).unwrap();
+        let res = run_grid(&w, &spec);
         assert!(res.pruned > 0, "deadline {deadline} pruned nothing");
         for (p, &true_makespan) in res.points.iter().zip(&makespans) {
             if p.pruned {
@@ -1120,7 +1087,7 @@ mod tests {
         let w = sample_workload();
         let mut spec = SweepSpec::default_grid(&w.meta);
         spec.gpus = vec![1, 2, 4];
-        let res = sweep(&w, &spec).unwrap();
+        let res = run_grid(&w, &spec);
         assert!(!res.pareto.is_empty());
         for &i in &res.pareto {
             let (m, c) = (res.points[i].makespan.unwrap(), res.points[i].cost.unwrap());
@@ -1156,7 +1123,7 @@ mod tests {
             schedules: vec![SchedulePolicyKind::Auto],
             deadline: None,
         };
-        let res = sweep(&w, &spec).unwrap();
+        let res = run_grid(&w, &spec);
         assert!(res.points[0].error.as_deref().unwrap().contains("memory"));
         assert!(res.points[0].makespan.is_none());
         assert!(res.points[1].makespan.is_some());
@@ -1165,8 +1132,47 @@ mod tests {
         assert_eq!(res.pareto, vec![1]);
     }
 
+    /// Every grid point checked against the engine's own replay of it:
+    /// `simulate_compiled` on the same arena and cost table, with no
+    /// pre-flight. A point must carry the replay's makespan bits or its
+    /// error text.
+    fn assert_points_match_replay(w: &RecordedWorkload, spec: &SweepSpec, res: &SweepResult) {
+        let cs = CompiledSweep::compile(w).unwrap();
+        let ctx = GridCtx::new(&cs, spec);
+        assert_eq!(res.points.len(), spec.point_count());
+        for (i, p) in res.points.iter().enumerate() {
+            let calib = &spec.calibs[i / ctx.per_calib];
+            let costs = ctx.tables[i / ctx.per_calib].as_ref().unwrap();
+            let cfg = NodeConfig {
+                calib: calib.node,
+                gpus: p.gpus,
+                mps: w.meta.mps,
+                schedule: p.schedule,
+                overlap_transfers: w.meta.overlap_transfers,
+            };
+            match simulate_compiled(&cs.compiled, costs, &cfg, false) {
+                Ok(out) => {
+                    assert_eq!(p.error, None, "point {i}");
+                    assert_eq!(
+                        p.makespan.map(f64::to_bits),
+                        Some(out.wall_seconds().to_bits()),
+                        "point {i}"
+                    );
+                }
+                Err(e) => {
+                    assert_eq!(p.makespan, None, "point {i}");
+                    assert_eq!(
+                        p.error.as_deref(),
+                        Some(e.to_string().as_str()),
+                        "point {i}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
-    fn preflight_is_bit_identical_on_grids_with_oom_points() {
+    fn preflight_matches_replay_on_grids_with_oom_points() {
         let mut w = sample_workload();
         for trace in w.nodes.iter_mut().flatten() {
             trace.peak_device_bytes = 30 << 30;
@@ -1182,18 +1188,14 @@ mod tests {
             schedules: vec![SchedulePolicyKind::Auto],
             deadline: None,
         };
-        let full = sweep(&w, &spec).unwrap();
-        let pre = sweep_preflight(&w, &spec).unwrap();
-        assert_eq!(full.rejected, 0);
-        assert_eq!(pre.rejected, 2);
-        assert_eq!(pre.evaluated, full.evaluated);
-        // The acceptance bar: identical serialized output, down to the
-        // error text on the statically-rejected points.
-        assert_eq!(full.to_jsonl(), pre.to_jsonl());
+        let res = run_grid(&w, &spec);
+        assert_eq!(res.rejected, 2);
+        assert_eq!(res.evaluated, 2);
+        assert_points_match_replay(&w, &spec, &res);
     }
 
     #[test]
-    fn preflight_is_bit_identical_on_deadlocking_workloads() {
+    fn preflight_matches_replay_on_deadlocking_workloads() {
         let mut w = sample_workload();
         // One extra collective on rank 0 makes the job ragged: every
         // grid point now deadlocks at replay time.
@@ -1208,24 +1210,23 @@ mod tests {
             schedules: vec![SchedulePolicyKind::Auto, SchedulePolicyKind::Fifo],
             deadline: None,
         };
-        let full = sweep(&w, &spec).unwrap();
-        let pre = sweep_preflight(&w, &spec).unwrap();
-        assert_eq!(pre.rejected, spec.point_count());
-        assert!(full
+        let res = run_grid(&w, &spec);
+        assert_eq!(res.rejected, spec.point_count());
+        assert!(res
             .points
             .iter()
             .all(|p| p.error.as_deref().is_some_and(|e| e.contains("deadlock"))));
-        assert_eq!(full.to_jsonl(), pre.to_jsonl());
+        assert_points_match_replay(&w, &spec, &res);
     }
 
     #[test]
-    fn preflight_is_a_no_op_on_clean_grids() {
+    fn preflight_rejects_nothing_on_clean_grids() {
         let w = sample_workload();
         let spec = SweepSpec::default_grid(&w.meta);
-        let full = sweep(&w, &spec).unwrap();
-        let pre = sweep_preflight(&w, &spec).unwrap();
-        assert_eq!(pre.rejected, 0);
-        assert_eq!(full.to_jsonl(), pre.to_jsonl());
+        let res = run_grid(&w, &spec);
+        assert_eq!(res.rejected, 0);
+        assert_eq!(res.evaluated, spec.point_count());
+        assert_points_match_replay(&w, &spec, &res);
     }
 
     #[test]
@@ -1233,7 +1234,7 @@ mod tests {
         let w = sample_workload();
         let mut spec = SweepSpec::default_grid(&w.meta);
         spec.deadline = Some(1e-9); // prune everything
-        let res = sweep(&w, &spec).unwrap();
+        let res = run_grid(&w, &spec);
         assert_eq!(res.evaluated, 0);
         assert_eq!(res.pruned, res.points.len());
         let text = res.to_jsonl();
@@ -1253,6 +1254,13 @@ mod tests {
         assert!(parse_gpus("0").is_err());
         assert!(parse_gpus("4..2").is_err());
         assert!(parse_gpus("x").is_err());
+        let err = parse_gpus("1..4000000000").unwrap_err();
+        assert!(err.contains("'1..4000000000'"), "{err}");
+        assert_eq!(
+            parse_gpus(&format!("1..{MAX_GPU_AXIS}")).unwrap().len(),
+            MAX_GPU_AXIS
+        );
+        assert!(parse_gpus(&format!("1..{MAX_GPU_AXIS},1")).is_err());
 
         let calibs = parse_calibs("identity, h100", &meta).unwrap();
         assert_eq!(calibs.len(), 2);
@@ -1271,6 +1279,8 @@ mod tests {
         assert_eq!(spec.point_count(), 2);
         assert!(SweepSpec::parse_grid("nope=1", &meta).is_err());
         assert!(SweepSpec::parse_grid("gpus", &meta).is_err());
+        let err = SweepSpec::parse_grid("gpus=1..4000000000", &meta).unwrap_err();
+        assert!(err.contains("'1..4000000000'"), "{err}");
         // Empty spec keeps the defaults.
         let spec = SweepSpec::parse_grid("", &meta).unwrap();
         assert_eq!(spec.calibs.len(), 1 + presets().len());
@@ -1282,7 +1292,7 @@ mod tests {
         let mut spec = SweepSpec::default_grid(&w.meta);
         spec.gpus = vec![1, 2, 4];
         spec.schedules = vec![SchedulePolicyKind::Auto, SchedulePolicyKind::Fifo];
-        let oracle = sweep(&w, &spec).unwrap().to_jsonl();
+        let oracle = run_grid(&w, &spec).to_jsonl();
         let total = spec.point_count();
         let cs = CompiledSweep::compile(&w).unwrap();
         for chunk in [1, 3, 7, total, total + 5] {
@@ -1311,7 +1321,7 @@ mod tests {
         let w = sample_workload();
         let mut spec = SweepSpec::default_grid(&w.meta);
         spec.gpus = vec![1, 2];
-        let res = sweep(&w, &spec).unwrap();
+        let res = run_grid(&w, &spec);
         let ck = SweepCheckpoint {
             total: res.points.len(),
             digest: sweep_digest(&w, &spec),
@@ -1356,7 +1366,7 @@ mod tests {
             schedules: vec![SchedulePolicyKind::Auto],
             deadline: None,
         };
-        let res = sweep(&w, &spec).unwrap();
+        let res = run_grid(&w, &spec);
         // Swapped axis order: point 0 claims gpus=2 where the grid has 1.
         let mut wrong = res.points.clone();
         wrong.reverse();

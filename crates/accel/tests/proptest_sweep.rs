@@ -8,7 +8,7 @@
 //! configuration), and the identity grid point always reproduces the
 //! trace-level oracle bit for bit.
 
-use accel_sim::sweep::{sweep, sweep_digest, SweepCalib, SweepCheckpoint, SweepSpec};
+use accel_sim::sweep::{sweep_digest, CompiledSweep, SweepCalib, SweepCheckpoint, SweepSpec};
 use accel_sim::whatif::{RecordMeta, RecordedWorkload};
 use accel_sim::{KernelProfile, RankTrace, SchedulePolicyKind, Segment, TransferDir};
 use proptest::prelude::*;
@@ -112,7 +112,7 @@ fn grid(meta: &RecordMeta) -> SweepSpec {
 proptest! {
     #[test]
     fn pareto_front_is_exactly_the_undominated_set(w in arb_workload()) {
-        let res = sweep(&w, &grid(&w.meta)).expect("sweep");
+        let res = CompiledSweep::compile(&w).expect("compiles").run(&grid(&w.meta));
         let evaluated: Vec<(usize, f64, f64)> = res
             .points
             .iter()
@@ -133,7 +133,7 @@ proptest! {
 
     #[test]
     fn lower_bound_never_exceeds_the_replayed_makespan(w in arb_workload()) {
-        let res = sweep(&w, &grid(&w.meta)).expect("sweep");
+        let res = CompiledSweep::compile(&w).expect("compiles").run(&grid(&w.meta));
         for p in &res.points {
             if let Some(m) = p.makespan {
                 prop_assert!(
@@ -148,7 +148,7 @@ proptest! {
     #[test]
     fn identity_grid_point_is_bit_identical_to_the_oracle(w in arb_workload()) {
         let spec = SweepSpec::default_grid(&w.meta);
-        let res = sweep(&w, &spec).expect("sweep");
+        let res = CompiledSweep::compile(&w).expect("compiles").run(&spec);
         let id = res
             .points
             .iter()
@@ -168,7 +168,7 @@ proptest! {
         // digest — and re-serialize byte-identically, or a resumed sweep
         // could silently diverge from the uninterrupted run.
         let spec = grid(&w.meta);
-        let res = sweep(&w, &spec).expect("sweep");
+        let res = CompiledSweep::compile(&w).expect("compiles").run(&spec);
         let n = take.min(res.points.len());
         let ck = SweepCheckpoint {
             total: res.points.len(),
@@ -189,7 +189,7 @@ proptest! {
     fn pruning_is_sound_for_any_deadline(w in arb_workload(), frac in 0.05..1.5f64) {
         // Whatever the deadline, a pruned point's true makespan misses it.
         let mut spec = grid(&w.meta);
-        let free = sweep(&w, &spec).expect("sweep");
+        let free = CompiledSweep::compile(&w).expect("compiles").run(&spec);
         let max_m = free
             .points
             .iter()
@@ -198,7 +198,7 @@ proptest! {
         prop_assume!(max_m > 0.0);
         let deadline = max_m * frac;
         spec.deadline = Some(deadline);
-        let res = sweep(&w, &spec).expect("sweep");
+        let res = CompiledSweep::compile(&w).expect("compiles").run(&spec);
         for (p, truth) in res.points.iter().zip(&free.points) {
             if p.pruned {
                 prop_assert!(p.lower_bound > deadline);

@@ -7,21 +7,23 @@
 //! fast can we search the hardware space?". The naive path is exactly
 //! what a script looping `whatif --replay --calib X --gpus N` pays per
 //! point: parse the JSONL recording, reprice the traces, rebuild the
-//! segment arena, replay. The batched path is `accel_sim::sweep::sweep`,
-//! which compiles once and materializes only a per-calibration cost
-//! vector per point.
+//! segment arena, replay. The batched path is
+//! `CompiledSweep::compile` then `run`, which compiles once (arena plus
+//! the static deadlock verdict) and materializes only a per-calibration
+//! cost vector per point.
 //!
 //! Results are written as JSON (`BENCH_sweep.json` at the workspace root
 //! unless `BENCH_SWEEP_OUT` overrides it) with the batched-vs-naive
 //! speedup and a bit-identity flag: the grid's identity point must equal
 //! `replay_identity` down to the last mantissa bit, or the batched path
-//! is disqualified. `BENCH_SWEEP_SMOKE=1` shrinks the workload and budget
-//! (keeping the full 120-point grid) so `ci.sh` can validate the harness
-//! and JSON shape in seconds.
+//! is disqualified. Full mode times each path for at least ten
+//! iterations and at least its time budget. `BENCH_SWEEP_SMOKE=1`
+//! shrinks the workload and budget (keeping the full 120-point grid) so
+//! `ci.sh` can validate the harness and JSON shape in seconds.
 
 use std::time::{Duration, Instant};
 
-use accel_sim::sweep::{sweep, SweepCalib, SweepSpec};
+use accel_sim::sweep::{CompiledSweep, SweepCalib, SweepSpec};
 use accel_sim::whatif::presets;
 use accel_sim::{
     KernelProfile, RankTrace, RecordMeta, RecordedWorkload, SchedulePolicyKind, Segment,
@@ -118,12 +120,13 @@ struct Measurement {
     points_per_sec: f64,
 }
 
-/// Time `per_iter` repeatedly until the budget closes (at least once),
-/// after one untimed warm-up.
+/// Time `per_iter` repeatedly until both the budget has closed and
+/// `min_iters` iterations have run, after one untimed warm-up.
 fn measure(
     path: &'static str,
     points_per_iter: u64,
     budget: Duration,
+    min_iters: u64,
     mut per_iter: impl FnMut(),
 ) -> Measurement {
     per_iter();
@@ -132,7 +135,7 @@ fn measure(
     loop {
         per_iter();
         iters += 1;
-        if start.elapsed() >= budget {
+        if iters >= min_iters && start.elapsed() >= budget {
             break;
         }
     }
@@ -148,10 +151,13 @@ fn measure(
 
 fn main() {
     let smoke = std::env::var("BENCH_SWEEP_SMOKE").is_ok_and(|v| v == "1");
-    let (mode, segments_per_rank, budget) = if smoke {
-        ("smoke", 12, Duration::from_millis(60))
+    // Full mode times at least ten iterations per path: the naive path
+    // fits only a few into the budget, and a ratio over two or three
+    // iterations swings with host noise.
+    let (mode, segments_per_rank, budget, min_iters) = if smoke {
+        ("smoke", 12, Duration::from_millis(60), 1)
     } else {
-        ("full", 60, Duration::from_millis(1500))
+        ("full", 60, Duration::from_millis(1500), 10)
     };
 
     let workload = synth_workload(segments_per_rank);
@@ -161,7 +167,9 @@ fn main() {
 
     // Correctness gate: the batched identity point at the recorded
     // gpus/schedule must equal the trace-level oracle bit for bit.
-    let result = sweep(&workload, &spec).expect("sweep");
+    let result = CompiledSweep::compile(&workload)
+        .expect("compiles")
+        .run(&spec);
     let identity = result
         .points
         .iter()
@@ -179,8 +187,12 @@ fn main() {
     let identity_bit_identical =
         identity.makespan.expect("identity evaluates").to_bits() == oracle.to_bits();
 
-    let batched = measure("batched", grid_points, budget, || {
-        black_box(sweep(&workload, &spec).expect("sweep"));
+    let batched = measure("batched", grid_points, budget, min_iters, || {
+        black_box(
+            CompiledSweep::compile(&workload)
+                .expect("compiles")
+                .run(&spec),
+        );
     });
     println!(
         "sweep/batched: {} iters, {:.3}s, {:.3e} points/s",
@@ -189,7 +201,7 @@ fn main() {
 
     // The naive path pays the full per-point cost: re-parse the recording,
     // rebuild the arena and its cost table, replay.
-    let naive = measure("naive", grid_points, budget, || {
+    let naive = measure("naive", grid_points, budget, min_iters, || {
         for calib in &spec.calibs {
             for &gpus in &spec.gpus {
                 for &schedule in &spec.schedules {

@@ -36,7 +36,6 @@
 //! whatif sweep --record <path> [--grid gpus=2..8;calib=identity,h100;schedule=mps,fifo]
 //!              [--gpus 2..8] [--calib a100,h100] [--schedule mps,fifo]
 //!              [--deadline <seconds>] [--out <jsonl>] [--dump-scenarios]
-//!              [--preflight]
 //! ```
 //!
 //! One workload compile serves the whole grid; each point only
@@ -48,11 +47,9 @@
 //! range to `--replay`'s `--calib`/`--gpus` routes to the same sweep.
 //! `--dump-scenarios` prints the grid as one scenario per line (compact
 //! JSON, derived from the recording's embedded scenario) instead of
-//! replaying anything. `--preflight` runs the static analyzer's exact
-//! OOM/deadlock predictors on each point first and skips the replay of
-//! statically-rejected points; the output (including `--out` JSONL) is
-//! bit-identical to the unpruned sweep because the predicted errors are
-//! the very errors the replays would have produced.
+//! replaying anything. Every sweep runs the exact OOM and deadlock
+//! checks on each point first and skips the replay of a point they
+//! reject; that point records the very error its replay would produce.
 
 use std::path::Path;
 use std::process::exit;
@@ -60,7 +57,9 @@ use std::process::exit;
 use repro_bench::report::{fmt_ratio, Table};
 use repro_bench::{arg_value, has_flag, record_run, scenario_from_args, RunConfig};
 
-use accel_sim::sweep::{parse_calibs, parse_gpus, parse_schedules, SweepResult, SweepSpec};
+use accel_sim::sweep::{
+    parse_calibs, parse_gpus, parse_schedules, CompiledSweep, SweepResult, SweepSpec,
+};
 use accel_sim::whatif::{preset, presets, RecordMeta, RecordedWorkload, Replayed};
 use accel_sim::{NetCalib, NodeCalib};
 use scenario::{ImplKind, ProblemSize, Scenario};
@@ -70,7 +69,7 @@ fn main() {
         let path = arg_value("--record").or_else(|| arg_value("--replay"));
         let Some(path) = path else {
             eprintln!(
-                "usage: whatif sweep --record <workload.jsonl> [--grid ...] [--deadline <s>] [--preflight]"
+                "usage: whatif sweep --record <workload.jsonl> [--grid ...] [--deadline <s>]"
             );
             exit(2);
         };
@@ -324,23 +323,13 @@ fn sweep_cmd(path: &str) {
             .map_or(String::new(), |d| format!(", deadline {d:?} s")),
     );
 
-    let preflight = has_flag("--preflight");
-    let run = if preflight {
-        accel_sim::sweep::sweep_preflight
-    } else {
-        accel_sim::sweep::sweep
-    };
-    let result = run(&workload, &spec).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        exit(1);
-    });
+    let result = CompiledSweep::compile(&workload)
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            exit(1);
+        })
+        .run(&spec);
     report_sweep(&result, meta.live_wall_seconds);
-    if preflight {
-        println!(
-            "{} point(s) rejected by preflight without a replay",
-            result.rejected
-        );
-    }
 
     if let Some(out) = arg_value("--out") {
         if let Err(e) = std::fs::write(&out, result.to_jsonl()) {
@@ -400,10 +389,11 @@ fn report_sweep(result: &SweepResult, live_wall: f64) {
     println!("{}", table.render());
 
     println!(
-        "sweep: {} point(s), {} evaluated, {} pruned by lower bound, {} compiled segment(s) shared",
+        "sweep: {} point(s), {} evaluated, {} pruned by lower bound, {} rejected before replay, {} compiled segment(s) shared",
         result.points.len(),
         result.evaluated,
         result.pruned,
+        result.rejected,
         result.compiled_segments,
     );
     println!("pareto front: {} point(s)", result.pareto.len());

@@ -6,7 +6,7 @@ use accel_sim::calib::{NetCalib, NodeCalib};
 use accel_sim::comm::allreduce_seconds;
 use accel_sim::context::LabelStats;
 use accel_sim::engine::{simulate_cluster_traced, ClusterResult, SchedulePolicyKind};
-use accel_sim::node::{simulate_node_traced, NodeConfig};
+use accel_sim::node::NodeConfig;
 use accel_sim::whatif::{RecordMeta, RecordedWorkload};
 use accel_sim::Context;
 use accel_sim::EngineError;
@@ -280,27 +280,19 @@ pub fn run_config(cfg: &RunConfig) -> Result<RunOutcome, ScenarioError> {
         ),
         None => e.to_string(),
     };
-    let (node_wall, gpu_busy, timeline, cluster) = match (rank_oom, cfg.nodes) {
-        (Some(e), _) => (Err(e), Vec::new(), None, None),
-        (None, None) => {
-            let node_cfg = node_config(cfg, calib);
-            match simulate_node_traced(&traces, &node_cfg) {
-                Ok((res, timeline)) => (Ok(res.wall_seconds), res.gpu_busy, Some(timeline), None),
-                Err(e) => (Err(sim_err_msg(e)), Vec::new(), None, None),
-            }
-        }
-        (None, Some(n)) => {
+    let (node_wall, gpu_busy, timeline, cluster) = match rank_oom {
+        Some(e) => (Err(e), Vec::new(), None, None),
+        None => {
             // Every node runs a statistically identical set of ranks:
-            // replicate this node's traces across the cluster.
-            let node_traces: Vec<Vec<accel_sim::RankTrace>> =
-                (0..n.max(1)).map(|_| traces.clone()).collect();
-            let node_cfg = node_config(cfg, calib);
-            match simulate_cluster_traced(&node_traces, &node_cfg) {
+            // replay this node's traces once per node.
+            let nodes = cfg.nodes.unwrap_or(1).max(1) as usize;
+            match simulate_cluster_traced(&vec![traces.as_slice(); nodes], &node_config(cfg, calib))
+            {
                 Ok((res, timeline)) => (
                     Ok(res.wall_seconds),
                     res.gpu_busy.clone(),
                     Some(timeline),
-                    Some(res),
+                    cfg.nodes.map(|_| res),
                 ),
                 Err(e) => (Err(sim_err_msg(e)), Vec::new(), None, None),
             }
@@ -326,7 +318,7 @@ pub fn run_config(cfg: &RunConfig) -> Result<RunOutcome, ScenarioError> {
 /// convention: every node runs a statistically identical set of ranks), so
 /// an identity-calibration replay reproduces `out.node_wall` exactly.
 /// When the run came from a scenario, pass it so the recording carries
-/// its provenance. Fails when the run itself did not fit on the device —
+/// its provenance (without its `output` sinks). Fails when the run itself did not fit on the device —
 /// there is no wall time to reprice.
 pub fn recorded_workload(
     cfg: &RunConfig,
@@ -353,7 +345,13 @@ pub fn recorded_workload(
         live_wall_seconds: live_wall,
         node_calib: cfg.node_calib(),
         net_calib: cfg.net_calib(),
-        scenario: scenario.map(|s| s.to_json_compact()),
+        // The output sinks say where this run wrote, not what it ran:
+        // one workload recorded to two paths must be one workload.
+        scenario: scenario.map(|s| {
+            let mut s = s.clone();
+            s.output = Default::default();
+            s.to_json_compact()
+        }),
     };
     Ok(RecordedWorkload::capture(node_traces, meta))
 }

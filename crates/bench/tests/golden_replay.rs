@@ -6,7 +6,8 @@
 //! to the simulator's physics and must be made deliberately.
 
 use accel_sim::{
-    simulate_node, KernelProfile, NodeConfig, RankTrace, SchedulePolicyKind, Segment, TransferDir,
+    simulate_cluster, KernelProfile, NodeConfig, RankTrace, SchedulePolicyKind, Segment,
+    TransferDir,
 };
 use repro_bench::{run_config, RunConfig};
 use scenario::{ProblemSize, Scenario};
@@ -134,7 +135,7 @@ fn synthetic_node_makespans_match_pre_engine_values() {
         ),
     ];
     for (what, cfg, ranks, expected) in cases {
-        let res = simulate_node(&mixed_traces(ranks), &cfg).unwrap();
+        let res = simulate_cluster(&[&mixed_traces(ranks)], &cfg).unwrap();
         assert_close(res.wall_seconds, expected, what);
     }
 }
@@ -273,7 +274,7 @@ fn capture_golden_values() {
             4,
         ),
     ] {
-        let res = simulate_node(&mixed_traces(ranks), &cfg).unwrap();
+        let res = simulate_cluster(&[&mixed_traces(ranks)], &cfg).unwrap();
         println!("const {name}: f64 = {:?};", res.wall_seconds);
     }
     for (name, kind, procs, mps) in [

@@ -11,8 +11,8 @@ use std::path::PathBuf;
 
 use accel_sim::whatif::{RecordMeta, RecordedWorkload, WhatifError};
 use accel_sim::{
-    sweep, Context, KernelProfile, NodeCalib, RankTrace, Segment, SweepCheckpoint, SweepSpec,
-    TransferDir,
+    CompiledSweep, Context, KernelProfile, NodeCalib, RankTrace, Segment, SweepCheckpoint,
+    SweepSpec, TransferDir,
 };
 use proptest::prelude::*;
 use repro_bench::span_seconds_from_file;
@@ -58,7 +58,7 @@ fn workload() -> RecordedWorkload {
 fn checkpoint(w: &RecordedWorkload) -> SweepCheckpoint {
     let mut spec = SweepSpec::default_grid(&w.meta);
     spec.gpus = vec![1, 2];
-    let res = sweep(w, &spec).expect("sweep");
+    let res = CompiledSweep::compile(w).expect("compiles").run(&spec);
     let mut points = res.points[..5].to_vec();
     points[0].makespan = None;
     points[0].cost = None;

@@ -6,7 +6,7 @@
 //! contract the engine determinism suite locks for a single replay,
 //! lifted to the whole sweep.
 
-use accel_sim::sweep::{sweep, SweepResult, SweepSpec};
+use accel_sim::sweep::{CompiledSweep, SweepResult, SweepSpec};
 use accel_sim::{
     KernelProfile, RankTrace, RecordMeta, RecordedWorkload, SchedulePolicyKind, Segment,
     TransferDir,
@@ -69,14 +69,14 @@ fn run() -> SweepResult {
     ];
     // A deadline in the middle of the grid so the pruner fires on some
     // points and not others — pruning decisions must be deterministic too.
-    let probe = sweep(&w, &spec).expect("probe sweep");
+    let probe = CompiledSweep::compile(&w).expect("compiles").run(&spec);
     let max_lb = probe
         .points
         .iter()
         .map(|p| p.lower_bound)
         .fold(0.0, f64::max);
     spec.deadline = Some(max_lb * 0.99);
-    sweep(&w, &spec).expect("sweep")
+    CompiledSweep::compile(&w).expect("compiles").run(&spec)
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! equality. Checked for the legacy single-node replay and the 2-node
 //! cluster replay, across every schedule policy.
 
-use accel_sim::sweep::{sweep, SweepCalib, SweepSpec};
+use accel_sim::sweep::{workload_digest, CompiledSweep, SweepCalib, SweepSpec};
 use accel_sim::whatif::RecordedWorkload;
 use accel_sim::SchedulePolicyKind;
 use repro_bench::{recorded_workload, run_config, RunConfig};
@@ -192,7 +192,9 @@ fn sweep_identity_point_reproduces_the_live_run() {
     let recorded = recorded_workload(&cfg, &out, "sweep oracle", None).expect("recordable");
     let parsed = RecordedWorkload::parse_jsonl(&recorded.to_jsonl()).expect("parses");
 
-    let result = sweep(&parsed, &SweepSpec::default_grid(&parsed.meta)).expect("sweep");
+    let result = CompiledSweep::compile(&parsed)
+        .expect("sweep")
+        .run(&SweepSpec::default_grid(&parsed.meta));
     let point = result
         .points
         .iter()
@@ -237,7 +239,9 @@ fn sweep_preset_points_match_standalone_replays_bitwise() {
         schedules: vec![parsed.meta.schedule],
         deadline: None,
     };
-    let result = sweep(&parsed, &spec).expect("sweep");
+    let result = CompiledSweep::compile(&parsed)
+        .expect("compiles")
+        .run(&spec);
     assert_eq!(result.evaluated, 6);
     for (point, calib) in result.points.iter().zip(
         spec.calibs
@@ -258,4 +262,71 @@ fn sweep_preset_points_match_standalone_replays_bitwise() {
             point.makespan,
         );
     }
+}
+
+#[test]
+fn sweep_points_match_standalone_replays_on_a_grid_with_oom_points() {
+    // Every sweep refuses the points its static checks reject without a
+    // replay. On a real recording, over a grid where some points do not
+    // fit in device memory, each point must still carry exactly what a
+    // standalone replay computes: its makespan bits, or its error text.
+    let cfg = RunConfig::new(tiny_problem(), ImplKind::OmpTarget, 16).expect("valid procs");
+    let out = run_config(&cfg).expect("valid config");
+    let recorded = recorded_workload(&cfg, &out, "sweep with oom", None).expect("recordable");
+    let parsed = RecordedWorkload::parse_jsonl(&recorded.to_jsonl()).expect("parses");
+
+    let mut spec = SweepSpec::parse_grid("gpus=1..4;calib=identity,a100,h100", &parsed.meta)
+        .expect("valid grid");
+    spec.schedules = vec![parsed.meta.schedule];
+    let result = CompiledSweep::compile(&parsed)
+        .expect("compiles")
+        .run(&spec);
+    assert!(result.rejected > 0, "grid has no OOM point");
+    assert!(result.evaluated > 0, "grid has no feasible point");
+    assert_eq!(result.rejected + result.evaluated, spec.point_count());
+    for (i, point) in result.points.iter().enumerate() {
+        let calib = &spec.calibs[i / spec.gpus.len()];
+        match parsed.replay(&calib.node, &calib.net, Some(point.gpus)) {
+            Ok(r) => {
+                assert_eq!(point.error, None, "{} x{}", point.calib, point.gpus);
+                assert_eq!(
+                    point.makespan.map(f64::to_bits),
+                    Some(r.cluster.wall_seconds.to_bits()),
+                    "{} x{}",
+                    point.calib,
+                    point.gpus
+                );
+            }
+            Err(e) => {
+                assert_eq!(point.makespan, None, "{} x{}", point.calib, point.gpus);
+                assert_eq!(
+                    point.error.as_deref(),
+                    Some(e.to_string().as_str()),
+                    "{} x{}",
+                    point.calib,
+                    point.gpus
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_recording_does_not_depend_on_its_output_path() {
+    // Where a recording is written is not part of the workload: the same
+    // scenario recorded to two paths gives the same bytes and the same
+    // digest, so serve coalesces the two and a checkpoint moves between
+    // them.
+    let s = tiny_scenario(ImplKind::OmpTarget, 4);
+    let cfg = RunConfig::from_scenario(&s).expect("valid scenario");
+    let out = run_config(&cfg).expect("valid config");
+    let record_to = |path: &str| {
+        let mut s = s.clone();
+        s.output.record_out = Some(path.to_string());
+        recorded_workload(&cfg, &out, "path probe", Some(&s)).expect("recordable")
+    };
+    let a = record_to("a/workload.jsonl");
+    let b = record_to("b/workload.jsonl");
+    assert_eq!(a.to_jsonl(), b.to_jsonl());
+    assert_eq!(workload_digest(&a), workload_digest(&b));
 }

@@ -1040,7 +1040,7 @@ mod tests {
         };
         let expanded = expand_sweep(&b, &spec);
         assert_eq!(expanded.len(), 8);
-        // Calib-major, then gpus, then schedules — the sweep()'s order.
+        // Calib-major, then gpus, then schedules — the sweep's grid order.
         assert_eq!(expanded[0].gpus, 4);
         assert_eq!(expanded[1].schedule, SchedulePolicyKind::Fifo);
         assert_eq!(expanded[2].gpus, 8);

@@ -943,6 +943,32 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_grid_axis_is_rejected_at_admission() {
+        let rec = std::env::temp_dir().join(format!("simd-axis-{}.jsonl", std::process::id()));
+        RecordedWorkload {
+            meta: accel_sim::RecordMeta::default(),
+            nodes: vec![vec![accel_sim::RankTrace::default()]],
+        }
+        .write(&rec)
+        .unwrap();
+        let line = format!(
+            "{{\"type\":\"sweep\",\"id\":\"huge\",\"recording\":\"{}\",\"grid\":\"gpus=1..4000000000\"}}\n",
+            rec.display()
+        );
+        let mut s = svc(8);
+        let (_, lines) = run(&mut s, &line);
+        std::fs::remove_file(&rec).unwrap();
+        let rej = lines
+            .iter()
+            .find(|l| l.contains("\"id\":\"huge\"") && l.contains("rejected"))
+            .expect("rejected event");
+        assert!(rej.contains("\"reason\":\"invalid\""), "{rej}");
+        assert!(rej.contains("'1..4000000000'"), "{rej}");
+        assert_eq!(s.stats().rejected_invalid, 1);
+        assert_eq!(s.stats().admitted, 0);
+    }
+
+    #[test]
     fn scraped_ids_unescape_and_sanitize() {
         assert_eq!(scrape_id("{\"id\":\"a b\\\"c\""), Some("a b\"c".into()));
         assert_eq!(scrape_id("{\"type\":\"stats\"}"), None);
