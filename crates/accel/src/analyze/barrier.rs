@@ -51,7 +51,7 @@ fn shapes(nodes: &[Vec<RankTrace>]) -> Vec<Shape<'_>> {
 
 /// The exact [`EngineError::Deadlock`] the engine would produce for
 /// this workload, or `None` when every barrier provably fills.
-pub(crate) fn predict_deadlock(nodes: &[Vec<RankTrace>]) -> Option<EngineError> {
+fn predict_deadlock(nodes: &[Vec<RankTrace>]) -> Option<EngineError> {
     let shapes = shapes(nodes);
     let participants: Vec<&Shape<'_>> = shapes
         .iter()

@@ -24,8 +24,8 @@
 //! proven to fail with the very error text carried in the diagnostic
 //! `message`, and a clean pass proves the corresponding runtime error
 //! unreachable. Warnings are best-effort. That exactness is what lets
-//! every what-if sweep refuse statically-rejected grid points without a
-//! replay while writing the same output a replay of each would.
+//! the serve layer refuse a flagged recording at admission: its replay
+//! would fail with the same error.
 //!
 //! Entry points: [`check_workload`] lints a recording under its own
 //! embedded calibration and layout, [`check_workload_under`] swaps in
@@ -40,8 +40,6 @@ mod lints;
 mod residency;
 
 pub use diag::{Code, Diagnostic, Locus, Report, Severity};
-
-pub(crate) use barrier::predict_deadlock;
 
 use crate::calib::{NetCalib, NodeCalib};
 use crate::whatif::{RecordMeta, RecordedWorkload};

@@ -22,12 +22,11 @@
 //! * an **analytic lower bound** per point (critical path vs total work,
 //!   see `lower_bound`) that prunes points provably unable to meet a
 //!   `--deadline` without replaying them;
-//! * a **static pre-flight**: a point whose ranks do not fit in device
-//!   memory (the engine's own admission check) or whose workload
-//!   provably deadlocks (`analyze::predict_deadlock`, decided once per
-//!   compile) is refused without a replay. Both verdicts are exact, so
-//!   the point records the very error text its replay would produce;
-//!   [`SweepResult::rejected`] counts these points;
+//! * **memory admission before any event**: the engine's first step is
+//!   its device-memory admission check, so a point whose ranks do not
+//!   fit is refused without replaying a single event and records the
+//!   engine's own OOM error; [`SweepResult::rejected`] counts these
+//!   points;
 //! * **Pareto-front extraction** over (makespan, cost), where cost is a
 //!   hardware price proxy ([`crate::calib::relative_node_price`]) times
 //!   node-hours;
@@ -346,8 +345,8 @@ pub struct SweepResult {
     pub evaluated: usize,
     /// Points skipped by the lower-bound pruner.
     pub pruned: usize,
-    /// Points this run refused without a replay: the memory admission
-    /// check failed, or the workload provably deadlocks. Deliberately
+    /// Points this run refused without a replay: the engine's memory
+    /// admission check failed before the first event. Deliberately
     /// *not* serialized: a rejected point carries the same error text a
     /// replay would, and points adopted from a resume cursor are not
     /// counted, so the JSONL output does not depend on it.
@@ -648,16 +647,11 @@ pub(crate) fn lower_bound(
 /// A workload compiled once into the engine's calibration-invariant
 /// arena, ready to evaluate many grids. This is the serve layer's
 /// coalescing unit: queued sweep jobs that share a recording share one
-/// `CompiledSweep`, so the segment-graph build, label interning and the
-/// static deadlock verdict are paid once per batch rather than once per
-/// job.
+/// `CompiledSweep`, so the segment-graph build and label interning are
+/// paid once per batch rather than once per job.
 pub struct CompiledSweep<'w> {
     workload: &'w RecordedWorkload,
     compiled: CompiledWorkload,
-    /// The analyzer's exact deadlock prediction
-    /// (`analyze::predict_deadlock`). It depends on neither calibration
-    /// nor GPU count, so it is decided once per arena.
-    deadlock: Option<EngineError>,
 }
 
 impl<'w> CompiledSweep<'w> {
@@ -668,12 +662,7 @@ impl<'w> CompiledSweep<'w> {
     pub fn compile(workload: &'w RecordedWorkload) -> Result<Self, EngineError> {
         let slices: Vec<&[RankTrace]> = workload.nodes.iter().map(|v| v.as_slice()).collect();
         let compiled = CompiledWorkload::compile(&slices)?;
-        let deadlock = crate::analyze::predict_deadlock(&workload.nodes);
-        Ok(Self {
-            workload,
-            compiled,
-            deadlock,
-        })
+        Ok(Self { workload, compiled })
     }
 
     /// Arena entries shared by every grid point.
@@ -823,17 +812,7 @@ impl<'a> GridCtx<'a> {
             schedule: pt.schedule,
             overlap_transfers: meta.overlap_transfers,
         };
-        let replayed = match &self.cs.deadlock {
-            // Same order as the engine: memory admission before the first
-            // event, a deadlock only after replaying to quiescence.
-            Some(deadlock) => Err(compiled
-                .admit(pt.gpus, calib.node.gpu.mem_bytes)
-                .map_or_else(EngineError::Oom, |()| deadlock.clone())),
-            // The engine's first step is that admission check, so an OOM
-            // point is refused here before any event too.
-            None => simulate_compiled(compiled, costs, &cfg, false),
-        };
-        match replayed {
+        match simulate_compiled(compiled, costs, &cfg, false) {
             Ok(out) => {
                 let makespan = out.wall_seconds();
                 pt.makespan = Some(makespan);
@@ -845,7 +824,9 @@ impl<'a> GridCtx<'a> {
                 );
             }
             Err(e) => {
-                if self.cs.deadlock.is_some() || e.as_oom().is_some() {
+                // The engine's first step is memory admission, so an OOM
+                // point was refused before any event.
+                if e.as_oom().is_some() {
                     self.rejected.fetch_add(1, Ordering::Relaxed);
                 }
                 pt.error = Some(e.to_string());
@@ -1133,9 +1114,8 @@ mod tests {
     }
 
     /// Every grid point checked against the engine's own replay of it:
-    /// `simulate_compiled` on the same arena and cost table, with no
-    /// pre-flight. A point must carry the replay's makespan bits or its
-    /// error text.
+    /// `simulate_compiled` on the same arena and cost table. A point
+    /// must carry the replay's makespan bits or its error text.
     fn assert_points_match_replay(w: &RecordedWorkload, spec: &SweepSpec, res: &SweepResult) {
         let cs = CompiledSweep::compile(w).unwrap();
         let ctx = GridCtx::new(&cs, spec);
@@ -1198,7 +1178,8 @@ mod tests {
     fn preflight_matches_replay_on_deadlocking_workloads() {
         let mut w = sample_workload();
         // One extra collective on rank 0 makes the job ragged: every
-        // grid point now deadlocks at replay time.
+        // grid point now deadlocks at replay time. Memory admission
+        // passes, so no point is rejected before its replay.
         w.nodes[0][0].segments.push(Segment::Collective {
             seconds: 1e-3,
             bytes: 1e6,
@@ -1211,7 +1192,8 @@ mod tests {
             deadline: None,
         };
         let res = run_grid(&w, &spec);
-        assert_eq!(res.rejected, spec.point_count());
+        assert_eq!(res.rejected, 0);
+        assert_eq!(res.evaluated, 0);
         assert!(res
             .points
             .iter()

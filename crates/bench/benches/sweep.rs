@@ -8,9 +8,8 @@
 //! what a script looping `whatif --replay --calib X --gpus N` pays per
 //! point: parse the JSONL recording, reprice the traces, rebuild the
 //! segment arena, replay. The batched path is
-//! `CompiledSweep::compile` then `run`, which compiles once (arena plus
-//! the static deadlock verdict) and materializes only a per-calibration
-//! cost vector per point.
+//! `CompiledSweep::compile` then `run`, which compiles the arena once
+//! and materializes only a per-calibration cost vector per point.
 //!
 //! Results are written as JSON (`BENCH_sweep.json` at the workspace root
 //! unless `BENCH_SWEEP_OUT` overrides it) with the batched-vs-naive

@@ -47,9 +47,9 @@
 //! range to `--replay`'s `--calib`/`--gpus` routes to the same sweep.
 //! `--dump-scenarios` prints the grid as one scenario per line (compact
 //! JSON, derived from the recording's embedded scenario) instead of
-//! replaying anything. Every sweep runs the exact OOM and deadlock
-//! checks on each point first and skips the replay of a point they
-//! reject; that point records the very error its replay would produce.
+//! replaying anything. A point whose ranks do not fit in device memory
+//! fails the engine's admission check before its first event; the
+//! summary counts such points as rejected before replay.
 
 use std::path::Path;
 use std::process::exit;
